@@ -3,8 +3,8 @@
 // Exercises the summary cache (analysis/summary_cache.hpp) over the six
 // SPEC surrogates, the largest static surfaces in the repo:
 //
-//   * cold    — first analysis of each program (CFG recovery + gen-1 +
-//               VSA fixpoint + gen-2 union), jobs = 1;
+//   * cold    — first analysis of each program (CFG recovery + VSA
+//               fixpoint + elision table), jobs = 1;
 //   * exact   — a second lookup of the identical program: pure content-hash
 //               hit, no analysis runs;
 //   * warm    — one function is mutated (two adjacent independent
@@ -175,8 +175,6 @@ bool identical(const char* what, const Cfg& cfg, const CachedAnalysis& x,
   };
   if (x.gen2.elision != y.gen2.elision) fail("gen2 elision bitmap");
   if (x.gen2.leak_elision != y.gen2.leak_elision) fail("leak elision bitmap");
-  if (x.g1.elision != y.g1.elision) fail("gen1 elision bitmap");
-  if (x.g1.report(cfg) != y.g1.report(cfg)) fail("gen1 site report");
   if (x.g2.report(cfg) != y.g2.report(cfg)) fail("gen2 site report");
   if (x.g2.leak_report(cfg) != y.g2.leak_report(cfg)) fail("leak report");
   if (!same_witnesses(x.g2.witnesses, y.g2.witnesses)) fail("witnesses");

@@ -7,11 +7,11 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 
 #include "analysis/cfg.hpp"
-#include "analysis/taint_analyzer.hpp"
 
 namespace ptaint::analysis {
 
@@ -24,7 +24,7 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 // Bumped whenever the analyses or the record layout change meaning: a new
 // build never mistakes an old process's numbers for its own (the cache is
 // in-memory today, but hashes leak into logs and golden tests).
-constexpr uint64_t kSchemaSalt = 3;
+constexpr uint64_t kSchemaSalt = 4;
 
 struct Fnv {
   uint64_t h = kFnvOffset;
@@ -118,9 +118,9 @@ std::vector<std::pair<uint32_t, uint64_t>> function_hashes(
     for (uint32_t pc = fns[i].entry; pc < fns[i].end; pc += 4) {
       f.mix(program.text[cfg.index_of(pc)]);
     }
-    // Caller fingerprint: a new call into this function adds a return
-    // edge (gen-1) and an entry-state contributor (VSA); both change the
-    // flows the function participates in even though its text did not.
+    // Caller fingerprint: a new call into this function adds an
+    // entry-state contributor and a compose target; both change the flows
+    // the function participates in even though its text did not.
     f.mix(fns[i].return_sites.size());
     for (uint32_t site : fns[i].return_sites) f.mix(site);
     local[i] = f.h;
@@ -239,24 +239,6 @@ std::vector<uint8_t> block_leaders_of(const Cfg& cfg,
     if (i < leaders.size()) leaders[i] = 1;
   }
   return leaders;
-}
-
-std::shared_ptr<CachedAnalysis> analyze_cold(const asmgen::Program& program,
-                                             const Cfg& cfg,
-                                             const cpu::TaintPolicy& policy,
-                                             const VsaOptions& options,
-                                             int jobs) {
-  auto out = std::make_shared<CachedAnalysis>();
-  TaintRun g1 = analyze_taint_run(cfg, policy);
-  VsaRun g2 = analyze_vsa_run(cfg, policy, options, jobs);
-  out->g1 = std::move(g1.analysis);
-  out->g2 = std::move(g2.analysis);
-  out->g1_fp = std::move(g1.fixpoint);
-  out->g2_fp = std::move(g2.fixpoint);
-  out->gen2 = gen2_union(cfg, out->g1, out->g2);
-  out->block_leaders = block_leaders_of(cfg, program);
-  out->fn_hashes = function_hashes(cfg, program);
-  return out;
 }
 
 // ---- cache proper ----------------------------------------------------------
@@ -408,8 +390,9 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
 
   const auto t0 = std::chrono::steady_clock::now();
   const Cfg cfg(program);
-  std::shared_ptr<CachedAnalysis> result;
-  bool warm = false;
+  std::vector<std::pair<uint32_t, uint64_t>> fn_hashes =
+      function_hashes(cfg, program);
+  std::optional<VsaRun> run;
   size_t dirty_count = 0;
 
   if (base != nullptr) {
@@ -417,7 +400,6 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
     // Both sides are ascending by entry (cfg functions are sorted), so the
     // new program's f-th function is fn_hashes[f].
     const auto& fns = cfg.functions();
-    const auto fn_hashes = function_hashes(cfg, program);
     std::vector<uint8_t> dirty(fns.size(), 1);
     for (size_t f = 0; f < fns.size(); ++f) {
       auto it = std::lower_bound(
@@ -432,30 +414,22 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
       }
     }
     if (dirty_count > 0 && dirty_count < fns.size()) {
-      std::optional<TaintRun> g1 =
-          analyze_taint_warm(cfg, policy, *base->g1_fp, dirty, &base->g1);
-      std::optional<VsaRun> g2 =
-          g1.has_value() ? analyze_vsa_warm(cfg, policy, options,
-                                            *base->g2_fp, dirty, &base->g2)
-                         : std::nullopt;
-      if (g1.has_value() && g2.has_value()) {
-        result = std::make_shared<CachedAnalysis>();
-        result->g1 = std::move(g1->analysis);
-        result->g2 = std::move(g2->analysis);
-        result->g1_fp = std::move(g1->fixpoint);
-        result->g2_fp = std::move(g2->fixpoint);
-        result->gen2 = gen2_union(cfg, result->g1, result->g2);
-        result->block_leaders = block_leaders_of(cfg, program);
-        result->fn_hashes = fn_hashes;
-        warm = true;
-      }
+      run = analyze_vsa_warm(cfg, policy, options, *base->g2_fp, dirty,
+                             &base->g2);
     } else {
       base = nullptr;  // all dirty (or none): nothing incremental to do
     }
   }
-  if (result == nullptr) {
-    result = analyze_cold(program, cfg, policy, options, jobs);
-  }
+  const bool warm = run.has_value();
+  if (!warm) run = analyze_vsa_run(cfg, policy, options, jobs);
+  // Everything below is shared by both paths, the exhaustion fallback
+  // (inside gen2_elision) included.
+  auto result = std::make_shared<CachedAnalysis>();
+  result->g2 = std::move(run->analysis);
+  result->g2_fp = std::move(run->fixpoint);
+  result->gen2 = gen2_elision(cfg, policy, result->g2);
+  result->block_leaders = block_leaders_of(cfg, program);
+  result->fn_hashes = std::move(fn_hashes);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

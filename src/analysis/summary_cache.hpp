@@ -2,15 +2,16 @@
 //
 // Every consumer of the static results — Machine::apply_static_elision on
 // each boot, the campaign static-check leg, the ptaint-serve shards,
-// ptaint-prove — used to re-run full CFG recovery plus both the gen-1
-// register analysis and the memory-aware VSA from scratch per program.
-// This cache memoizes the complete result set (both analyses, the gen-2
-// union table, the leak bitmaps, the recovered block leaders) keyed by
-// program content and policy, and keeps the converged fixpoints so a
-// *mutated* program can be re-analyzed incrementally: only functions whose
-// content hash changed — and their transitive dependents over the call
-// graph — are re-iterated, and the warm result is verified byte-identical
-// to a cold run (see taint_analyzer.hpp / vsa.hpp for the scheme).
+// ptaint-prove — used to re-run full CFG recovery plus the memory-aware
+// VSA from scratch per program.  This cache memoizes the complete result
+// set (the VSA analysis, the elision table built from it, the leak
+// bitmaps, the recovered block leaders) keyed by program content and
+// policy, and keeps the converged fixpoint so a *mutated* program can be
+// re-analyzed incrementally: only functions whose content hash changed —
+// and their transitive dependents over the call graph — are re-iterated,
+// and the warm result is verified byte-identical to a cold run (see
+// vsa.hpp for the scheme).  The register-only analyzer is not cached: it
+// runs only as gen2_elision's fallback when the VSA exhausts its budget.
 //
 // Hash key.  Each function's local hash covers its text words, its span,
 // its return sites (the caller fingerprint: a new call into a function
@@ -46,14 +47,12 @@ namespace ptaint::analysis {
 /// The complete static result set for one (program, policy, options) key.
 /// Shared-ptr immutable once published; consumers index freely.
 struct CachedAnalysis {
-  TaintAnalysis g1;        // register-only analyzer
   VsaAnalysis g2;          // memory-aware value-set prover
-  Gen2Elision gen2;        // the union table Machine ships to the CPU
+  Gen2Elision gen2;        // the table Machine ships to the CPU
   std::vector<uint8_t> block_leaders;  // recovered block begins, per inst
 
-  // Warm-base material: converged fixpoints plus per-function chained
+  // Warm-base material: the converged fixpoint plus per-function chained
   // hashes (entry PC -> hash, ascending) to diff a mutated program against.
-  std::shared_ptr<const TaintFixpoint> g1_fp;
   std::shared_ptr<const VsaFixpoint> g2_fp;
   std::vector<std::pair<uint32_t, uint64_t>> fn_hashes;
 };
@@ -62,8 +61,8 @@ struct CacheStats {
   uint64_t lookups = 0;
   uint64_t hits = 0;            // exact content hit, no analysis ran
   uint64_t cold_misses = 0;     // analyzed from scratch
-  uint64_t warm_hits = 0;       // incremental re-analysis, both engines
-  uint64_t warm_fallbacks = 0;  // warm attempted, >= 1 engine went cold
+  uint64_t warm_hits = 0;       // incremental re-analysis
+  uint64_t warm_fallbacks = 0;  // warm attempted, went cold
   uint64_t invalidated_fns = 0; // dirty functions across warm attempts
   uint64_t evictions = 0;
   uint64_t analysis_micros = 0; // wall time inside cold + warm analysis

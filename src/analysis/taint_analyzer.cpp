@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
-#include <set>
-#include <utility>
 
 #include "isa/isa.hpp"
 
@@ -202,19 +199,23 @@ struct G1State {
   std::vector<bool> has_in;
 };
 
-/// Chaotic worklist iteration to the least fixpoint.  When `dirty` is
-/// non-null (warm mode) only dirty blocks are processed, and a join that
-/// would change a *clean* block's preloaded in-state aborts (returns false):
-/// the dirty region's influence grew beyond the recorded run, so identity
-/// with a cold run can no longer be assumed without one.
-bool g1_fixpoint(const Cfg& cfg, const cpu::TaintPolicy& policy, G1State& st,
-                 std::deque<int> worklist, const std::vector<uint8_t>* dirty) {
+/// Chaotic worklist iteration from the all-Untainted entry state to the
+/// least fixpoint.
+G1State g1_fixpoint(const Cfg& cfg, const cpu::TaintPolicy& policy) {
   const auto& blocks = cfg.blocks();
+  G1State st;
+  st.in_state.resize(blocks.size());
+  st.has_in.assign(blocks.size(), false);
   std::vector<bool> queued(blocks.size(), false);
-  for (int b : worklist) queued[static_cast<size_t>(b)] = true;
-  bool aborted = false;
+  std::deque<int> worklist;
+  const int entry = cfg.block_at(cfg.program().entry);
+  if (entry >= 0) {
+    st.has_in[static_cast<size_t>(entry)] = true;
+    queued[static_cast<size_t>(entry)] = true;
+    worklist.push_back(entry);
+  }
 
-  while (!worklist.empty() && !aborted) {
+  while (!worklist.empty()) {
     const int b = worklist.front();
     worklist.pop_front();
     queued[static_cast<size_t>(b)] = false;
@@ -224,21 +225,14 @@ bool g1_fixpoint(const Cfg& cfg, const cpu::TaintPolicy& policy, G1State& st,
     walk_block(cfg, policy, bb, s);
 
     auto flow_to = [&](int succ) {
-      if (succ < 0 || aborted) return;
+      if (succ < 0) return;
       auto us = static_cast<size_t>(succ);
-      bool changed;
+      bool changed = true;
       if (!st.has_in[us]) {
         st.in_state[us] = s;
         st.has_in[us] = true;
-        changed = true;
       } else {
-        RegState joined = st.in_state[us];
-        changed = joined.join_with(s);
-        if (changed && dirty != nullptr && (*dirty)[us] == 0) {
-          aborted = true;  // clean region would move: fall back to cold
-          return;
-        }
-        st.in_state[us] = joined;
+        changed = st.in_state[us].join_with(s);
       }
       if (changed && !queued[us]) {
         queued[us] = true;
@@ -248,7 +242,7 @@ bool g1_fixpoint(const Cfg& cfg, const cpu::TaintPolicy& policy, G1State& st,
     for (int succ : bb.succs) flow_to(succ);
     for (int succ : bb.call_succs) flow_to(succ);
   }
-  return !aborted;
+  return st;
 }
 
 /// Replays every reached block once from its converged in-state and records
@@ -258,13 +252,11 @@ bool g1_fixpoint(const Cfg& cfg, const cpu::TaintPolicy& policy, G1State& st,
 /// monotone chain equals its maximum.
 void g1_collect(const Cfg& cfg, const cpu::TaintPolicy& policy,
                 const G1State& st, const std::vector<int>& site_of,
-                std::vector<DerefSite>& sites,
-                const std::vector<uint8_t>* only_blocks = nullptr) {
+                std::vector<DerefSite>& sites) {
   const auto& blocks = cfg.blocks();
   const auto& insts = cfg.instructions();
   for (size_t b = 0; b < blocks.size(); ++b) {
     if (!st.has_in[b]) continue;
-    if (only_blocks != nullptr && (*only_blocks)[b] == 0) continue;
     const BasicBlock& bb = blocks[b];
     RegState s = st.in_state[b];
     for (uint32_t pc = bb.begin; pc < bb.end; pc += 4) {
@@ -278,95 +270,6 @@ void g1_collect(const Cfg& cfg, const cpu::TaintPolicy& policy,
       transfer(inst, policy, s);
     }
   }
-}
-
-// `dirty_blocks`/`splice`: incremental collection for the warm path.  A
-// clean block's converged in-state and text are identical to the recorded
-// run's (that is what the warm verification proves), so replaying it would
-// reproduce the recorded site facts bit for bit — instead only dirty
-// blocks are replayed and clean-block sites copy their facts from the base
-// analysis.  Sites accumulate facts from exactly one block (their own), so
-// the split is exact, not approximate.
-TaintAnalysis finish_g1(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                        const G1State& st, const std::vector<int>& site_of,
-                        std::vector<DerefSite> sites,
-                        const std::vector<uint8_t>* dirty_blocks = nullptr,
-                        const TaintAnalysis* splice = nullptr) {
-  TaintAnalysis result;
-  result.sites = std::move(sites);
-  result.elision.assign(cfg.instructions().size(), 0);
-  g1_collect(cfg, policy, st, site_of, result.sites, dirty_blocks);
-  if (dirty_blocks != nullptr && splice != nullptr) {
-    // Both site vectors and the block list are ascending by PC, so the
-    // copy is a linear lockstep walk (the caller validated that every
-    // clean site has a counterpart).
-    const auto& blocks = cfg.blocks();
-    auto oit = splice->sites.begin();
-    size_t b = 0;
-    for (DerefSite& site : result.sites) {
-      while (b < blocks.size() && site.pc >= blocks[b].end) ++b;
-      if (b >= blocks.size()) break;
-      if (site.pc < blocks[b].begin || (*dirty_blocks)[b] != 0) continue;
-      while (oit != splice->sites.end() && oit->pc < site.pc) ++oit;
-      if (oit == splice->sites.end() || oit->pc != site.pc) continue;
-      site.reachable = oit->reachable;
-      site.may_taint = oit->may_taint;
-    }
-  }
-  for (const DerefSite& site : result.sites) {
-    if (!site.reachable) continue;  // never elide unanalyzed code
-    if (may_be_tainted(site.may_taint)) {
-      ++result.possible_sites;
-    } else {
-      ++result.proven_clean;
-      result.elision[cfg.index_of(site.pc)] = 1;
-    }
-  }
-  return result;
-}
-
-// `base`/`old_of_new`: on the warm path a clean block's out-state is the
-// walk of an identical in-state over identical text — copied from the base
-// record instead of recomputed (old_of_new[b] < 0 marks dirty blocks).
-std::shared_ptr<const TaintFixpoint> build_g1_record(
-    const Cfg& cfg, const cpu::TaintPolicy& policy, const G1State& st,
-    const TaintFixpoint* base = nullptr,
-    const std::vector<int>* old_of_new = nullptr) {
-  const auto& blocks = cfg.blocks();
-  auto fp = std::make_shared<TaintFixpoint>();
-  fp->in_state = st.in_state;
-  fp->has_in = st.has_in;
-  fp->out_state.resize(blocks.size());
-  fp->block_begin.reserve(blocks.size());
-  fp->block_end.reserve(blocks.size());
-  fp->succ_pcs.resize(blocks.size());
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const BasicBlock& bb = blocks[b];
-    fp->block_begin.push_back(bb.begin);
-    fp->block_end.push_back(bb.end);
-    auto& targets = fp->succ_pcs[b];
-    for (int succ : bb.succs) {
-      if (succ >= 0) targets.push_back(blocks[static_cast<size_t>(succ)].begin);
-    }
-    for (int succ : bb.call_succs) {
-      if (succ >= 0) targets.push_back(blocks[static_cast<size_t>(succ)].begin);
-    }
-    if (st.has_in[b]) {
-      if (base != nullptr && old_of_new != nullptr && (*old_of_new)[b] >= 0) {
-        fp->out_state[b] =
-            base->out_state[static_cast<size_t>((*old_of_new)[b])];
-      } else {
-        RegState s = st.in_state[b];
-        walk_block(cfg, policy, bb, s);
-        fp->out_state[b] = s;
-      }
-    }
-  }
-  for (const Function& fn : cfg.functions()) {
-    fp->fn_spans.emplace_back(fn.entry, fn.end);
-  }
-  std::sort(fp->fn_spans.begin(), fp->fn_spans.end());
-  return fp;
 }
 
 }  // namespace
@@ -401,228 +304,21 @@ std::string TaintAnalysis::report(const Cfg& cfg) const {
 }
 
 TaintAnalysis analyze_taint(const Cfg& cfg, const cpu::TaintPolicy& policy) {
-  const auto& blocks = cfg.blocks();
-
   std::vector<int> site_of;
-  std::vector<DerefSite> sites = enumerate_sites(cfg, site_of);
-
-  G1State st;
-  st.in_state.resize(blocks.size());
-  st.has_in.assign(blocks.size(), false);
-
-  std::deque<int> worklist;
-  const int entry = cfg.block_at(cfg.program().entry);
-  if (entry >= 0) {
-    st.has_in[static_cast<size_t>(entry)] = true;  // all-Untainted entry state
-    worklist.push_back(entry);
-  }
-  g1_fixpoint(cfg, policy, st, std::move(worklist), nullptr);
-  return finish_g1(cfg, policy, st, site_of, std::move(sites));
-}
-
-TaintRun analyze_taint_run(const Cfg& cfg, const cpu::TaintPolicy& policy) {
-  const auto& blocks = cfg.blocks();
-
-  std::vector<int> site_of;
-  std::vector<DerefSite> sites = enumerate_sites(cfg, site_of);
-
-  G1State st;
-  st.in_state.resize(blocks.size());
-  st.has_in.assign(blocks.size(), false);
-
-  std::deque<int> worklist;
-  const int entry = cfg.block_at(cfg.program().entry);
-  if (entry >= 0) {
-    st.has_in[static_cast<size_t>(entry)] = true;
-    worklist.push_back(entry);
-  }
-  g1_fixpoint(cfg, policy, st, std::move(worklist), nullptr);
-
-  TaintRun run;
-  run.fixpoint = build_g1_record(cfg, policy, st);
-  run.analysis = finish_g1(cfg, policy, st, site_of, std::move(sites));
-  return run;
-}
-
-std::optional<TaintRun> analyze_taint_warm(
-    const Cfg& cfg, const cpu::TaintPolicy& policy, const TaintFixpoint& base,
-    const std::vector<uint8_t>& dirty_fns, const TaintAnalysis* base_analysis) {
-  const auto& blocks = cfg.blocks();
-  const auto& fns = cfg.functions();
-  if (blocks.empty() || dirty_fns.size() != fns.size()) return std::nullopt;
-
-  // Clean PC test: the clean functions' spans.  A clean function's text,
-  // entry PC and (because the cache folds the global label fingerprint into
-  // every content hash) block structure are identical to the recorded run.
-  std::vector<std::pair<uint32_t, uint32_t>> clean_spans;
-  size_t n_dirty = 0;
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty_fns[f] != 0) {
-      ++n_dirty;
+  TaintAnalysis result;
+  result.sites = enumerate_sites(cfg, site_of);
+  result.elision.assign(cfg.instructions().size(), 0);
+  g1_collect(cfg, policy, g1_fixpoint(cfg, policy), site_of, result.sites);
+  for (const DerefSite& site : result.sites) {
+    if (!site.reachable) continue;  // never elide unanalyzed code
+    if (may_be_tainted(site.may_taint)) {
+      ++result.possible_sites;
     } else {
-      clean_spans.emplace_back(fns[f].entry, fns[f].end);
+      ++result.proven_clean;
+      result.elision[cfg.index_of(site.pc)] = 1;
     }
   }
-  if (n_dirty == 0 || clean_spans.empty()) return std::nullopt;
-  std::sort(clean_spans.begin(), clean_spans.end());
-  auto clean_pc = [&](uint32_t pc) {
-    auto it = std::upper_bound(clean_spans.begin(), clean_spans.end(),
-                               std::make_pair(pc, UINT32_MAX));
-    if (it == clean_spans.begin()) return false;
-    --it;
-    return pc >= it->first && pc < it->second;
-  };
-  // Recorded functions must cover clean spans exactly (guards against a
-  // record from a structurally different program reaching us).
-  for (const auto& span : clean_spans) {
-    auto it = std::lower_bound(base.fn_spans.begin(), base.fn_spans.end(),
-                               std::make_pair(span.first, uint32_t{0}));
-    if (it == base.fn_spans.end() || it->first != span.first ||
-        it->second != span.second) {
-      return std::nullopt;
-    }
-  }
-
-  // Per-block dirtiness (blocks outside any recovered function count as
-  // dirty: they have no content hash to prove them unchanged).
-  std::vector<uint8_t> block_dirty(blocks.size(), 1);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const BasicBlock& bb = blocks[b];
-    if (bb.function >= 0 && dirty_fns[static_cast<size_t>(bb.function)] == 0) {
-      block_dirty[b] = 0;
-    }
-  }
-
-  // New block index by begin PC (for resolving recorded flow targets).
-  auto new_block_at = [&](uint32_t pc) { return cfg.block_at(pc); };
-
-  G1State st;
-  st.in_state.resize(blocks.size());
-  st.has_in.assign(blocks.size(), false);
-
-  // Preload clean blocks from the record.  block_begin is ascending
-  // (blocks are recorded in address order), so the lookup is a search.
-  std::vector<int> old_of_new(blocks.size(), -1);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (block_dirty[b] != 0) continue;
-    auto it = std::lower_bound(base.block_begin.begin(),
-                               base.block_begin.end(), blocks[b].begin);
-    if (it == base.block_begin.end() || *it != blocks[b].begin) {
-      return std::nullopt;  // shape mismatch: cold
-    }
-    const size_t ob = static_cast<size_t>(it - base.block_begin.begin());
-    if (base.block_end[ob] != blocks[b].end) return std::nullopt;
-    old_of_new[b] = static_cast<int>(ob);
-    st.in_state[b] = base.in_state[ob];
-    st.has_in[b] = base.has_in[ob];
-  }
-
-  // Seed the dirty region: the entry state if the entry function is dirty,
-  // plus every recorded clean-block out-state flowing into a dirty block.
-  std::deque<int> worklist;
-  std::vector<bool> seeded(blocks.size(), false);
-  auto seed = [&](int b, const RegState& s) {
-    auto ub = static_cast<size_t>(b);
-    if (!st.has_in[ub]) {
-      st.in_state[ub] = s;
-      st.has_in[ub] = true;
-    } else {
-      st.in_state[ub].join_with(s);
-    }
-    if (!seeded[ub]) {
-      seeded[ub] = true;
-      worklist.push_back(b);
-    }
-  };
-  const int entry = cfg.block_at(cfg.program().entry);
-  if (entry < 0) return std::nullopt;
-  if (block_dirty[static_cast<size_t>(entry)] != 0) {
-    seed(entry, RegState{});
-  }
-  for (size_t ob = 0; ob < base.block_begin.size(); ++ob) {
-    if (!base.has_in[ob] || !clean_pc(base.block_begin[ob])) continue;
-    for (uint32_t tpc : base.succ_pcs[ob]) {
-      const int nb = new_block_at(tpc);
-      if (nb >= 0 && blocks[static_cast<size_t>(nb)].begin == tpc &&
-          block_dirty[static_cast<size_t>(nb)] != 0) {
-        seed(nb, base.out_state[ob]);
-      }
-    }
-  }
-
-  if (!g1_fixpoint(cfg, policy, st, std::move(worklist), &block_dirty)) {
-    return std::nullopt;  // clean region would move
-  }
-
-  // Verify: for every clean block, the join of contributions flowing in
-  // from the dirty region must equal the recorded one.  (Clean-to-clean
-  // contributions are unchanged by construction, and join is associative,
-  // so equal dirty-side joins imply an identical cold fixpoint.)
-  std::map<uint32_t, RegState> j_old;
-  std::map<uint32_t, RegState> j_new;
-  std::set<uint32_t> touched;
-  auto accumulate = [](std::map<uint32_t, RegState>& m, uint32_t dst,
-                       const RegState& s) {
-    auto [it, fresh] = m.emplace(dst, s);
-    if (!fresh) it->second.join_with(s);
-  };
-  for (size_t ob = 0; ob < base.block_begin.size(); ++ob) {
-    if (!base.has_in[ob] || clean_pc(base.block_begin[ob])) continue;
-    for (uint32_t tpc : base.succ_pcs[ob]) {
-      if (!clean_pc(tpc)) continue;
-      accumulate(j_old, tpc, base.out_state[ob]);
-      touched.insert(tpc);
-    }
-  }
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (block_dirty[b] == 0 || !st.has_in[b]) continue;
-    RegState out = st.in_state[b];
-    walk_block(cfg, policy, blocks[b], out);
-    auto flow = [&](int succ) {
-      if (succ < 0) return;
-      const uint32_t tpc = blocks[static_cast<size_t>(succ)].begin;
-      if (!clean_pc(tpc)) return;
-      accumulate(j_new, tpc, out);
-      touched.insert(tpc);
-    };
-    for (int succ : blocks[b].succs) flow(succ);
-    for (int succ : blocks[b].call_succs) flow(succ);
-  }
-  for (uint32_t dst : touched) {
-    auto io = j_old.find(dst);
-    auto in = j_new.find(dst);
-    if ((io == j_old.end()) != (in == j_new.end())) return std::nullopt;
-    if (io != j_old.end() && !(io->second == in->second)) return std::nullopt;
-  }
-
-  std::vector<int> site_of;
-  std::vector<DerefSite> sites = enumerate_sites(cfg, site_of);
-  // Incremental collection: only valid when every clean-block site has a
-  // recorded counterpart to copy facts from (it always does when the base
-  // analysis came from the recorded program; anything else falls back to
-  // the full whole-program replay, which is equally exact).
-  const TaintAnalysis* splice = base_analysis;
-  if (splice != nullptr) {
-    // Lockstep walk (both vectors ascend by PC): every clean-span site
-    // needs a base counterpart.  A site is in a clean block iff its PC is
-    // in a clean span (spans cover exactly the clean functions' blocks).
-    auto oit = splice->sites.begin();
-    for (const DerefSite& site : sites) {
-      if (!clean_pc(site.pc)) continue;
-      while (oit != splice->sites.end() && oit->pc < site.pc) ++oit;
-      if (oit == splice->sites.end() || oit->pc != site.pc) {
-        splice = nullptr;
-        break;
-      }
-    }
-  }
-  TaintRun run;
-  run.fixpoint = build_g1_record(cfg, policy, st, splice ? &base : nullptr,
-                                 splice ? &old_of_new : nullptr);
-  run.analysis =
-      finish_g1(cfg, policy, st, site_of, std::move(sites),
-                splice ? &block_dirty : nullptr, splice);
-  return run;
+  return result;
 }
 
 TaintAnalysis analyze_taint(const asmgen::Program& program,

@@ -20,15 +20,16 @@
 //     clean*: the dynamic detector can never fire there, so the interpreter
 //     may elide the check (see docs/ANALYSIS.md for the soundness
 //     argument and its recovered-CFG caveat).
-//   * Sites that may be tainted form the static alert-site report that
-//     `ptaint-campaign --static-check` diffs against dynamic alerts.
+//   * Sites that may be tainted form the static alert-site report
+//     (`ptaint-lint`, the gen-1 column of `ptaint-prove`).
+//
+// The elision table Machine installs is the value-set prover's (vsa.hpp);
+// this pass feeds it only as the cold, uncached fallback when the prover
+// exhausts its budget (gen2_elision).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -79,59 +80,5 @@ TaintAnalysis analyze_taint(const Cfg& cfg, const cpu::TaintPolicy& policy);
 /// Convenience: build the Cfg and analyze in one step.
 TaintAnalysis analyze_taint(const asmgen::Program& program,
                             const cpu::TaintPolicy& policy);
-
-// ---- incremental re-analysis -----------------------------------------------
-//
-// The summary cache (summary_cache.hpp) retains the converged fixpoint of a
-// cold run so that, after a small mutation of the guest, only the changed
-// functions and their transitive callers need re-iteration.  The record
-// stores per-block in/out states keyed by block begin PC (indices shift when
-// a mutated function changes shape) so the warm path can
-//
-//   1. preload every *clean* block's converged in-state,
-//   2. seed the dirty region from the recorded out-states of its clean
-//      predecessors, iterate only dirty blocks, and
-//   3. verify afterwards that the dirty region's joined contribution into
-//      every clean block equals the recorded one (join-equality per clean
-//      successor — joins are not subtractable, so per-edge old==new is the
-//      sufficient condition for whole-result identity).
-//
-// Any doubt — a clean in-state that would change during iteration, a shape
-// mismatch, a contribution mismatch — returns nullopt and the caller falls
-// back to a cold run, so a warm result is always byte-identical to cold.
-struct TaintFixpoint {
-  std::vector<RegState> in_state;   // converged per-block in-states
-  std::vector<RegState> out_state;  // post-transfer states (reached only)
-  std::vector<bool> has_in;         // block ever reached
-  std::vector<uint32_t> block_begin;
-  std::vector<uint32_t> block_end;
-  // Flow targets (ordinary successors and call successors — gen-1 flows the
-  // same out-state to both) as target block begin PCs.
-  std::vector<std::vector<uint32_t>> succ_pcs;
-  // Function spans [entry, end) of the analyzed program, ascending.
-  std::vector<std::pair<uint32_t, uint32_t>> fn_spans;
-};
-
-struct TaintRun {
-  TaintAnalysis analysis;
-  std::shared_ptr<const TaintFixpoint> fixpoint;
-};
-
-/// Cold run that also builds the fixpoint record for later warm runs.
-/// Identical analysis output to analyze_taint().
-TaintRun analyze_taint_run(const Cfg& cfg, const cpu::TaintPolicy& policy);
-
-/// Warm re-analysis against `base` (a prior converged run under the *same*
-/// policy).  `dirty_fns[f]` marks new-Cfg functions whose text or calling
-/// context changed (content-hash difference, including transitive callers).
-/// Returns nullopt when identity with a cold run cannot be proven; the
-/// result, when present, is byte-identical to analyze_taint_run().
-/// `base_analysis` (the analysis the record was built with) enables
-/// incremental result collection: clean-block site verdicts are copied
-/// from it instead of replayed — same output, less work.
-std::optional<TaintRun> analyze_taint_warm(
-    const Cfg& cfg, const cpu::TaintPolicy& policy, const TaintFixpoint& base,
-    const std::vector<uint8_t>& dirty_fns,
-    const TaintAnalysis* base_analysis = nullptr);
 
 }  // namespace ptaint::analysis

@@ -2654,6 +2654,7 @@ VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
       }
     }
   }
+  res.exhausted = exhausted_;
   res.sites = sites_;
   res.elision.assign(cfg_.instructions().size(), 0);
   for (const DerefSite& site : res.sites) {
@@ -2885,33 +2886,19 @@ std::optional<VsaRun> analyze_vsa_warm(const Cfg& cfg,
 }
 
 Gen2Elision gen2_elision(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                         const VsaOptions& options) {
-  const TaintAnalysis g1 = analyze_taint(cfg, policy);
-  const VsaAnalysis g2 = analyze_vsa(cfg, policy, options);
-  return gen2_union(cfg, g1, g2);
-}
-
-Gen2Elision gen2_union(const Cfg& cfg, const TaintAnalysis& g1,
-                       const VsaAnalysis& g2) {
+                         const VsaAnalysis& vsa) {
   Gen2Elision r;
-  r.elision = g1.elision;
-  for (size_t i = 0; i < r.elision.size() && i < g2.elision.size(); ++i) {
-    r.elision[i] = static_cast<uint8_t>(r.elision[i] | g2.elision[i]);
-  }
-  r.gen1_clean = g1.proven_clean;
-  // Count every dereference site whose check the union table actually
-  // skips — clean sites plus sites the prover shows dead (the two site
-  // vectors enumerate the same dereference PCs).
-  r.sites = g1.sites.size();
-  for (const DerefSite& site : g1.sites) {
+  r.elision = vsa.exhausted ? analyze_taint(cfg, policy).elision : vsa.elision;
+  // Count every dereference site whose check the table actually skips —
+  // clean sites plus sites the prover shows dead.
+  r.sites = vsa.sites.size();
+  for (const DerefSite& site : vsa.sites) {
     if (r.elision[cfg.index_of(site.pc)]) ++r.gen2_clean;
   }
-  // Leak-check elision is VSA-only: the register-only analyzer has no
-  // address-provenance notion to contribute.
-  r.leak_elision = g2.leak_elision;
-  r.output_sites = g2.output_sites;
-  r.leak_clean = g2.leak_clean;
-  r.leak_annotated = g2.leak_annotated;
+  r.leak_elision = vsa.leak_elision;
+  r.output_sites = vsa.output_sites;
+  r.leak_clean = vsa.leak_clean;
+  r.leak_annotated = vsa.leak_annotated;
   return r;
 }
 

@@ -41,8 +41,9 @@
 //
 // Outputs:
 //   * per-site verdicts (same DerefSite shape as gen-1) and a VSA elision
-//     bitmap; `gen2_elision()` unions it with the register-only bitmap so
-//     the shipped table strictly supersedes gen-1 by construction;
+//     bitmap — the table Machine installs (`gen2_elision()`), with the
+//     register-only analyzer as the fallback should the fixpoint exhaust
+//     its budget;
 //   * on request, a *witness* per possibly-tainted site: a shortest
 //     source-rooted may-taint path (syscall input / argv / taintset /
 //     uninitialized stack -> memory cells -> registers -> dereference PC)
@@ -107,9 +108,13 @@ struct LeakSite {
 
 struct VsaAnalysis {
   std::vector<DerefSite> sites;  // ascending by PC, verdicts from the VSA
-  std::vector<uint8_t> elision;  // VSA-only bitmap (see gen2_elision)
+  std::vector<uint8_t> elision;  // VSA bitmap (see gen2_elision)
   size_t possible_sites = 0;
   size_t proven_clean = 0;
+  /// The fixpoint ran out of block-run budget: every CFG-reachable site
+  /// degraded to Top (every address plane, for leak sites) and nothing is
+  /// elided, dead code included.
+  bool exhausted = false;
 
   // Leak-site prover outputs (address-taint direction).
   std::vector<LeakSite> leak_sites;     // ascending by PC
@@ -158,10 +163,10 @@ VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
 
 // ---- incremental + parallel re-analysis -------------------------------------
 //
-// Mirrors the gen-1 scheme (taint_analyzer.hpp): a cold run can retain its
-// converged fixpoint — per-block abstract states, per-function
-// exit/summary records, call-site records and every cross-function flow a
-// block emitted — keyed by PC so a later run over a mutated program can
+// The summary cache (summary_cache.hpp) keeps a cold run's converged
+// fixpoint — per-block abstract states, per-function exit/summary records,
+// call-site records and every cross-function flow a block emitted — keyed
+// by PC so a later run over a mutated program can
 //
 //   1. preload every *clean* function's blocks, FnInfo and call sites,
 //   2. seed the dirty region from the recorded clean->dirty cross flows and
@@ -206,33 +211,31 @@ std::optional<VsaRun> analyze_vsa_warm(const Cfg& cfg,
                                        const std::vector<uint8_t>& dirty_fns,
                                        const VsaAnalysis* base_analysis = nullptr);
 
-/// The second-generation elision table: bitwise union of the register-only
-/// analyzer's bitmap and the VSA bitmap.  Every gen-1 elision survives by
-/// construction; the VSA adds sites whose cleanliness transits memory plus
+/// The second-generation elision table, the one Machine installs: the
+/// VSA's deref and leak bitmaps.  The VSA bitmap holds every site the
+/// register-only analyzer proves clean (a test pins this on every registry
+/// app and policy column) plus sites whose cleanliness transits memory and
 /// sites it proves dead (paths killed at exit syscalls or constant-false
 /// branches — only when the fixpoint completed without exhaustion).
 struct Gen2Elision {
   std::vector<uint8_t> elision;
-  size_t gen1_clean = 0;  // sites the register-only analyzer proves clean
-  size_t gen2_clean = 0;  // sites whose check the union table skips
-                          // (clean or proven dead; >= gen1_clean)
+  size_t gen2_clean = 0;  // sites whose check the table skips
+                          // (clean or proven dead)
   size_t sites = 0;       // all dereference sites in the program
 
-  // Leak-check elision (VSA-only: gen-1 has no address-provenance notion).
+  // Leak-check elision (gen-1 has no address-provenance notion).
   std::vector<uint8_t> leak_elision;
   size_t output_sites = 0;
   size_t leak_clean = 0;
   size_t leak_annotated = 0;  // waived by VsaOptions::may_publish
 };
 
+/// Builds the table from a finished VSA run.  An exhausted run
+/// (`vsa.exhausted`) elides nothing, so its deref bitmap is replaced by a
+/// cold, uncached register-only analysis under `policy` — the only place
+/// gen-1 feeds elision.  Leak elision stays the VSA's (all zero then).
 Gen2Elision gen2_elision(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                         const VsaOptions& options = {});
-
-/// The union step of gen2_elision() applied to already-computed analyses
-/// (the summary cache runs the analyses through the incremental entry
-/// points and unions here; gen2_elision() composes the same way).
-Gen2Elision gen2_union(const Cfg& cfg, const TaintAnalysis& g1,
-                       const VsaAnalysis& g2);
+                         const VsaAnalysis& vsa);
 
 /// Resolves function-label names to [begin, end) text PC ranges: each
 /// function spans from its label to the next function label (or text end).

@@ -10,7 +10,6 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/summary_cache.hpp"
-#include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
 #include "core/attack.hpp"
 #include "core/spec_workloads.hpp"
@@ -263,28 +262,6 @@ std::vector<Job> falseneg_jobs(SnapshotCache& cache, bool elide,
   return jobs;
 }
 
-// Coverage policy columns: the three detection modes plus the address-leak
-// direction ("leak-aware": paper pointer-taint with
-// TaintPolicy::leak_detection armed).  One list shared by coverage_jobs /
-// coverage_serial / campaign_cells / policy_by_name so the four views of
-// the matrix can never disagree on the column set.
-std::vector<PolicyVariant> coverage_columns() {
-  std::vector<PolicyVariant> out;
-  for (cpu::DetectionMode mode :
-       {cpu::DetectionMode::kOff, cpu::DetectionMode::kControlDataOnly,
-        cpu::DetectionMode::kPointerTaint}) {
-    cpu::TaintPolicy p;
-    p.mode = mode;
-    out.push_back({core::to_string(mode), p});
-  }
-  {
-    cpu::TaintPolicy p;  // paper defaults plus the leak direction
-    p.leak_detection = true;
-    out.push_back({"leak-aware", p});
-  }
-  return out;
-}
-
 std::vector<Job> coverage_jobs(SnapshotCache& cache, bool elide,
                                std::optional<cpu::Engine> engine) {
   const auto corpus = shared_corpus();
@@ -464,6 +441,28 @@ std::string format_coverage(const std::vector<JobResult>& results) {
 }
 
 }  // namespace
+
+// Coverage policy columns: the three detection modes plus the address-leak
+// direction ("leak-aware": paper pointer-taint with
+// TaintPolicy::leak_detection armed).  One list shared by coverage_jobs /
+// coverage_serial / campaign_cells / policy_by_name so the four views of
+// the matrix can never disagree on the column set.
+std::vector<PolicyVariant> coverage_columns() {
+  std::vector<PolicyVariant> out;
+  for (cpu::DetectionMode mode :
+       {cpu::DetectionMode::kOff, cpu::DetectionMode::kControlDataOnly,
+        cpu::DetectionMode::kPointerTaint}) {
+    cpu::TaintPolicy p;
+    p.mode = mode;
+    out.push_back({core::to_string(mode), p});
+  }
+  {
+    cpu::TaintPolicy p;  // paper defaults plus the leak direction
+    p.leak_detection = true;
+    out.push_back({"leak-aware", p});
+  }
+  return out;
+}
 
 std::vector<PolicyVariant> ablation_variants() {
   std::vector<PolicyVariant> out;
@@ -674,9 +673,9 @@ StaticCheckReport static_check(const std::string& campaign,
 
   // Program per payload (link-identical across the policy column); the
   // analyses come from the process-wide summary cache — the same entries
-  // Machine::apply_static_elision unions into the gen-2 table, so the
-  // backward check validates exactly the cached bitmaps elided runs
-  // execute under (and the campaign machines usually left them warm).
+  // Machine::apply_static_elision installs, so the backward check
+  // validates exactly the cached bitmaps elided runs execute under (and
+  // the campaign machines usually left them warm).
   std::map<std::string, asmgen::Program> programs;
   auto program_for = [&](const JobResult& r) -> const asmgen::Program& {
     auto it = programs.find(r.payload);
@@ -758,12 +757,12 @@ StaticCheckReport static_check(const std::string& campaign,
                     alert.pc, alert.disasm.c_str());
       out.missed.push_back(line);
     }
-    // Backward: the alert site must not be in the gen-2 elision union
-    // (gen-1 clean OR prover clean) — an elided run would skip the check.
-    auto clean = [&](const analysis::DerefSite* s) {
-      return s && s->reachable && !may_be_tainted(s->may_taint);
-    };
-    if (clean(st->g1.site_at(alert.pc)) || clean(st->g2.site_at(alert.pc))) {
+    // Backward: the alert PC must not be set in the bitmap Machine installs
+    // (sites proven clean or dead) — an elided run would skip the check.
+    const std::vector<uint8_t>& elision = st->gen2.elision;
+    const size_t idx = (alert.pc - isa::layout::kTextBase) / 4;
+    if (alert.pc >= isa::layout::kTextBase && idx < elision.size() &&
+        elision[idx] != 0) {
       char line[256];
       std::snprintf(line, sizeof line,
                     "%s / %s / %s: dynamic alert at %08x (%s) sits in the "

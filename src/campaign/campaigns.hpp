@@ -42,6 +42,10 @@ struct PolicyVariant {
 /// taint, and the paper rules with the address-leak direction armed.
 std::vector<PolicyVariant> ablation_variants();
 
+/// The coverage campaign's policy columns: the three detection modes plus
+/// "leak-aware" (paper policy with TaintPolicy::leak_detection on).
+std::vector<PolicyVariant> coverage_columns();
+
 /// Campaign names accepted below, in a stable order.
 std::vector<std::string> campaign_names();
 
@@ -99,17 +103,17 @@ std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
                            std::optional<cpu::Engine> engine = std::nullopt);
 
 /// Bidirectional cross-validation of the dynamic campaign against the
-/// static analyzers.  For every result whose run ended in a
+/// static prover.  For every result whose run ended in a
 /// pointer-taintedness alert, the job's program is rebuilt and analyzed
-/// under the job's policy by BOTH the register-only analyzer (gen-1) and
-/// the memory-aware value-set prover (gen-2, analysis/vsa.cpp):
+/// under the job's policy by the memory-aware value-set prover (gen-2,
+/// analysis/vsa.cpp):
 ///
 ///   forward   — the alert PC must sit in the prover's may-set, i.e. the
 ///               prover holds a witness trace for it (`missed` stays empty);
 ///   backward  — the alert PC must NOT be in the second-generation elision
-///               table (the gen-1 / gen-2 clean union actually installed by
-///               Machine::apply_static_elision); an alert at an elided site
-///               would mean the elided detector silently skips it
+///               table Machine::apply_static_elision installs (sites
+///               proven clean or dead); an alert at an elided site would
+///               mean the elided detector silently skips it
 ///               (`elided_alerts` stays empty).
 ///
 /// Address-leak alerts (AlertKind::kAddressLeak) are cross-validated the

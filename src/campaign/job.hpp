@@ -44,25 +44,20 @@ struct Job {
   std::string payload;
   std::string policy;
 
-  /// Builds and arms the machine.  Runs on a worker thread; may restore a
-  /// shared snapshot.  Throwing marks the job kHarnessError (one retry).
-  /// Legacy path — jobs that set the three fork fields below instead let
-  /// the executor reuse one machine per worker with COW delta restore.
-  std::function<std::unique_ptr<core::Machine>()> make;
-
-  /// Fork path (preferred).  `get_snapshot` resolves (building on first
-  /// use) the shared post-boot snapshot; `make_config` describes the
-  /// machine that runs it (policy, budget, elision, engine); `machine_key`
-  /// names that config — and deliberately not the snapshot, since a kept
-  /// machine can restore any snapshot — so a worker keeps one machine per
-  /// key and serves repeat jobs with a cheap COW (or delta) restore
-  /// instead of a rebuild.  All three must be set for the path to engage.
+  /// How the armed machine comes to be.  `get_snapshot` resolves (building
+  /// on first use) the shared post-boot snapshot; `make_config` describes
+  /// the machine that runs it (policy, budget, elision, engine);
+  /// `machine_key` names that config — and deliberately not the snapshot,
+  /// since a kept machine can restore any snapshot — so a worker keeps one
+  /// machine per key and serves repeat jobs with a cheap COW (or delta)
+  /// restore instead of a rebuild.  Both callables run on a worker thread;
+  /// throwing marks the job kHarnessError (one retry).
   std::string machine_key;
   std::function<core::MachineConfig()> make_config;
   std::function<std::shared_ptr<const core::MachineSnapshot>()> get_snapshot;
 
   /// Fills verdict/detail from the finished run.  Optional; runs on the
-  /// same worker thread as make().
+  /// same worker thread as get_snapshot().
   std::function<void(core::Machine&, const core::RunReport&, JobResult&)>
       classify;
 
@@ -94,8 +89,7 @@ struct JobResult {
   int attempts = 0;       // 1 normally; 2 after the bounded retry
   double wall_ms = 0.0;   // of the successful attempt
 
-  // Per-phase wall time of the successful attempt (fork path; the legacy
-  // make() path books machine construction under build_ms).  Timings are
+  // Per-phase wall time of the successful attempt.  Timings are
   // host-dependent and therefore excluded from the deterministic report
   // emitters unless explicitly requested (ReportOptions::with_timing).
   double build_ms = 0.0;    // snapshot resolution (cold cache = guest boot)
@@ -103,8 +97,7 @@ struct JobResult {
   double run_ms = 0.0;      // driving the guest in slices
   double judge_ms = 0.0;    // report extraction + classify
 
-  // COW footprint of the finished run (fork path; 0 on the legacy path).
-  // dirty_pages is a deterministic function of the guest run; shared_pages
+  // COW footprint of the finished run.  dirty_pages is a deterministic function of the guest run; shared_pages
   // depends on concurrent snapshot sharing and is reporting-only.
   uint64_t dirty_pages = 0;   // pages the run diverged on
   uint64_t shared_pages = 0;  // pages still shared with the snapshot at stop

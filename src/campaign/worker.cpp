@@ -45,8 +45,6 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
   result.payload = job.payload;
   result.policy = job.policy;
 
-  const bool fork_path =
-      !job.machine_key.empty() && job.make_config && job.get_snapshot;
   const uint64_t slice_instructions =
       config.slice_instructions == 0 ? 250'000 : config.slice_instructions;
 
@@ -62,35 +60,24 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
     const auto start = Clock::now();
     bool timed_out = false;
     try {
-      std::unique_ptr<core::Machine> legacy;
-      std::shared_ptr<const core::MachineSnapshot> snapshot;
-      core::Machine* machine = nullptr;
-      auto armed_at = start;
-      if (fork_path) {
-        snapshot = job.get_snapshot();  // cold cache = the guest boots here
-        const auto resolved_at = Clock::now();
-        result.build_ms = ms_between(start, resolved_at);
-        machine = machines.find(job.machine_key);
-        if (machine == nullptr) {
-          auto fresh = std::make_unique<core::Machine>(job.make_config());
-          machine = fresh.get();
-          machines.put(job.machine_key, std::move(fresh));
-          counters.machine_builds.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          counters.machine_reuses.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Repeat restores from one snapshot take the COW delta path inside
-        // Machine::restore — O(pages the previous run dirtied).
-        machine->restore(*snapshot);
-        armed_at = Clock::now();
-        result.restore_ms = ms_between(resolved_at, armed_at);
+      const std::shared_ptr<const core::MachineSnapshot> snapshot =
+          job.get_snapshot();  // cold cache = the guest boots here
+      const auto resolved_at = Clock::now();
+      result.build_ms = ms_between(start, resolved_at);
+      core::Machine* machine = machines.find(job.machine_key);
+      if (machine == nullptr) {
+        auto fresh = std::make_unique<core::Machine>(job.make_config());
+        machine = fresh.get();
+        machines.put(job.machine_key, std::move(fresh));
+        counters.machine_builds.fetch_add(1, std::memory_order_relaxed);
       } else {
-        legacy = job.make();
-        machine = legacy.get();
-        armed_at = Clock::now();
-        result.build_ms = ms_between(start, armed_at);
-        result.restore_ms = 0.0;
+        counters.machine_reuses.fetch_add(1, std::memory_order_relaxed);
       }
+      // Repeat restores from one snapshot take the COW delta path inside
+      // Machine::restore — O(pages the previous run dirtied).
+      machine->restore(*snapshot);
+      const auto armed_at = Clock::now();
+      result.restore_ms = ms_between(resolved_at, armed_at);
       const auto deadline = start + job.timeout;
       uint64_t budget = job.max_instructions;
       cpu::StopReason reason = cpu::StopReason::kRunning;
@@ -113,10 +100,8 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
       }
       const auto stopped_at = Clock::now();
       result.run_ms = ms_between(armed_at, stopped_at);
-      if (fork_path) {
-        result.dirty_pages = machine->memory().dirty_page_count();
-        result.shared_pages = machine->memory().shared_page_count();
-      }
+      result.dirty_pages = machine->memory().dirty_page_count();
+      result.shared_pages = machine->memory().shared_page_count();
       result.report = machine->report();
       if (timed_out) {
         result.status = JobStatus::kTimeout;
@@ -154,7 +139,7 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
     // job opted in, on a wall-clock timeout (transient host overload — a
     // daemon shard under load wants another go, a batch bench does not).
     // A kept machine may be mid-restore or mid-run — rebuild from scratch.
-    if (fork_path) machines.drop(job.machine_key);
+    machines.drop(job.machine_key);
   }
 }
 

@@ -125,12 +125,12 @@ size_t Machine::enable_static_elision() {
 
 size_t Machine::apply_static_elision() {
   if (program_.text.empty()) return 0;
-  // Second-generation table: the register-only analyzer's bitmap unioned
-  // with the memory-aware value-set prover's (vsa.cpp), so every gen-1
-  // elision survives and sites whose cleanliness transits memory join them.
-  // The summary cache memoizes the whole result set per (program, policy),
-  // so rebooting the same guest — or a near-identical campaign variant —
-  // skips CFG recovery and both fixpoints.
+  // Second-generation table: the memory-aware value-set prover's bitmaps
+  // (vsa.cpp) — sites proven clean, including those whose cleanliness
+  // transits memory, and sites proven dead.  The summary cache memoizes the
+  // whole result set per (program, policy), so rebooting the same guest —
+  // or a near-identical campaign variant — skips CFG recovery and the
+  // fixpoint.
   const std::shared_ptr<const analysis::CachedAnalysis> cached =
       analysis::SummaryCache::instance().analyze(program_, config_.policy);
   cpu_->set_check_elision(cached->gen2.elision);

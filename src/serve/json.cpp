@@ -29,6 +29,7 @@ class JsonParser {
  private:
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open around pos_
 
   void skip_ws() {
     while (pos_ < text_.size() &&
@@ -60,8 +61,13 @@ class JsonParser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kJsonMaxDepth) fail("nesting too deep", pos_);
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't':
         if (!consume_literal("true")) fail("bad literal", pos_);

@@ -23,6 +23,11 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting JsonValue::parse accepts.  The parser
+/// recurses once per level and reads socket clients and the journal, so
+/// the cap keeps a hostile line ("[[[[...") from overflowing the stack.
+constexpr int kJsonMaxDepth = 64;
+
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

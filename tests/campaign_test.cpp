@@ -52,12 +52,21 @@ std::unique_ptr<core::Machine> make_guest(const char* source) {
   return m;
 }
 
+/// A freshly booted guest as a shareable snapshot (what get_snapshot hands
+/// the worker).
+std::shared_ptr<const core::MachineSnapshot> boot(const char* source) {
+  return std::make_shared<const core::MachineSnapshot>(
+      make_guest(source)->snapshot());
+}
+
 Job simple_job(const char* source, std::string payload) {
   Job job;
   job.app = "unit";
   job.payload = std::move(payload);
   job.policy = "paper";
-  job.make = [source]() { return make_guest(source); };
+  job.machine_key = "default";
+  job.make_config = [] { return core::MachineConfig{}; };
+  job.get_snapshot = [source]() { return boot(source); };
   job.classify = [](core::Machine&, const core::RunReport& report,
                     JobResult& out) {
     out.verdict = report.stop == cpu::StopReason::kExit ? "OK" : "BAD";
@@ -139,12 +148,9 @@ TEST(Executor, SharedSnapshotForkStress) {
   std::vector<Job> jobs;
   for (int i = 0; i < 32; ++i) {
     Job job = simple_job(kExitZero, "fork-" + std::to_string(i));
-    job.make = [&cache]() {
-      auto snap =
-          cache.get("boot", []() { return make_guest(kExitZero)->snapshot(); });
-      auto m = std::make_unique<core::Machine>();
-      m->restore(*snap);
-      return m;
+    job.get_snapshot = [&cache]() {
+      return cache.get("boot",
+                       []() { return make_guest(kExitZero)->snapshot(); });
     };
     jobs.push_back(std::move(job));
   }
@@ -161,9 +167,9 @@ TEST(Executor, SharedSnapshotForkStress) {
 TEST(Executor, RetriesSpuriousHarnessErrorOnce) {
   auto fail_once = std::make_shared<std::atomic<bool>>(true);
   Job job = simple_job(kExitZero, "flaky");
-  job.make = [fail_once]() {
+  job.get_snapshot = [fail_once]() {
     if (fail_once->exchange(false)) throw std::runtime_error("spurious");
-    return make_guest(kExitZero);
+    return boot(kExitZero);
   };
   Executor executor;
   const std::vector<JobResult> results = executor.run({job});
@@ -175,7 +181,7 @@ TEST(Executor, RetriesSpuriousHarnessErrorOnce) {
 
 TEST(Executor, GivesUpAfterBoundedRetries) {
   Job job = simple_job(kExitZero, "doomed");
-  job.make = []() -> std::unique_ptr<core::Machine> {
+  job.get_snapshot = []() -> std::shared_ptr<const core::MachineSnapshot> {
     throw std::runtime_error("always broken");
   };
   Executor executor;  // max_retries = 1

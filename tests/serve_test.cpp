@@ -54,6 +54,17 @@ TEST(ServeJson, RejectsMalformedInput) {
                JsonError);  // a torn journal line
 }
 
+TEST(ServeJson, RejectsNestingBeyondTheDepthLimit) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(JsonValue::parse(nested(kJsonMaxDepth)));
+  EXPECT_THROW(JsonValue::parse(nested(kJsonMaxDepth + 1)), JsonError);
+  // Unbounded recursion used to overflow the stack on this line.
+  EXPECT_THROW(JsonValue::parse(std::string(1'000'000, '[')), JsonError);
+}
+
 TEST(ServeJson, U64RejectsNegativeAndFractional) {
   EXPECT_THROW(JsonValue::parse("-3").as_u64(), JsonError);
   EXPECT_THROW(JsonValue::parse("1.5").as_u64(), JsonError);
@@ -294,11 +305,13 @@ campaign::Job flaky_timeout_job(
   job.policy = "paper";
   job.timeout = std::chrono::milliseconds(200);
   job.max_instructions = 500'000'000;
-  job.make = [attempts_seen]() {
+  job.machine_key = "default";
+  job.make_config = [] { return core::MachineConfig{}; };
+  job.get_snapshot = [attempts_seen]() {
     const int attempt = attempts_seen->fetch_add(1) + 1;
-    auto m = std::make_unique<core::Machine>();
-    m->load_source(attempt == 1 ? kRetrySpin : kRetryExitZero);
-    return m;
+    core::Machine m;
+    m.load_source(attempt == 1 ? kRetrySpin : kRetryExitZero);
+    return std::make_shared<const core::MachineSnapshot>(m.snapshot());
   };
   job.classify = [](core::Machine&, const core::RunReport& report,
                     campaign::JobResult& out) {
@@ -487,6 +500,17 @@ TEST_F(ServeDaemonTest, StreamedVerdictMatchesBatchRow) {
       std::to_string(v.get_u64("id")) + "}");
   EXPECT_NE(result.find("\"state\": \"done\""), std::string::npos);
   EXPECT_NE(result.find("\"verdict\": \"DETECTED\""), std::string::npos);
+}
+
+TEST_F(ServeDaemonTest, DeeplyNestedLineIsABadRequestNotACrash) {
+  boot();
+  Client client(config_.socket_path);
+  const std::string reply = client.request(std::string(1'000'000, '['));
+  EXPECT_NE(reply.find("\"event\": \"error\""), std::string::npos);
+  EXPECT_NE(reply.find("bad request"), std::string::npos);
+  // The connection (and the daemon behind it) keeps serving.
+  EXPECT_NE(client.request("{\"cmd\": \"ping\"}").find("pong"),
+            std::string::npos);
 }
 
 TEST_F(ServeDaemonTest, BadSpecYieldsHarnessErrorVerdictNotDeadShard) {

@@ -77,12 +77,6 @@ bool same_leak_sites(const std::vector<LeakSite>& a,
   if (x.gen2.leak_elision != y.gen2.leak_elision) {
     return ::testing::AssertionFailure() << "leak elision bitmap differs";
   }
-  if (x.g1.elision != y.g1.elision) {
-    return ::testing::AssertionFailure() << "gen1 elision bitmap differs";
-  }
-  if (x.g1.report(cfg) != y.g1.report(cfg)) {
-    return ::testing::AssertionFailure() << "gen1 site report differs";
-  }
   if (x.g2.report(cfg) != y.g2.report(cfg)) {
     return ::testing::AssertionFailure() << "gen2 site report differs";
   }

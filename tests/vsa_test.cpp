@@ -5,6 +5,7 @@
 // byte-identical determinism across repeat runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "core/machine.hpp"
 #include "cpu/taint_unit.hpp"
 #include "guest/apps/apps.hpp"
+#include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
 
 namespace ptaint::analysis {
@@ -101,8 +103,8 @@ TEST(VsaProver, FrameSpillReloadProvesReturnClean) {
 TEST(VsaProver, SpillReloadSiteEntersGen2Table) {
   const asmgen::Program p = asmgen::assemble(kSpillReload);
   const Cfg cfg(p);
-  const Gen2Elision gen2 = gen2_elision(cfg, {});
-  EXPECT_GT(gen2.gen2_clean, gen2.gen1_clean)
+  const Gen2Elision gen2 = gen2_elision(cfg, {}, analyze_vsa(cfg, {}));
+  EXPECT_GT(gen2.gen2_clean, analyze_taint(cfg, {}).proven_clean)
       << "memory-transiting cleanliness should add elisions";
 }
 
@@ -157,22 +159,71 @@ TEST(VsaProver, WitnessTracesInputToDereference) {
 
 // ---- gen-2 supersedes gen-1 ------------------------------------------------
 
+// The shipped table is the VSA bitmap alone.  It loses nothing against a
+// gen-1 | VSA union only while the VSA covers every gen-1 elision and never
+// exhausts (exhaustion switches to the gen-1 fallback) — pinned on every
+// registry app under every campaign policy column.
 TEST(Gen2Elision, StrictlySupersedesRegisterOnlyTable) {
-  for (auto make : {&guest::apps::exp2_heap, &guest::apps::null_httpd,
-                    &guest::apps::spec_bzip2}) {
-    const asmgen::Program p =
-        asmgen::assemble(guest::link_with_runtime(make()));
-    const Cfg cfg(p);
-    const TaintAnalysis g1 = analyze_taint(cfg, {});
-    const Gen2Elision gen2 = gen2_elision(cfg, {});
-    ASSERT_EQ(g1.elision.size(), gen2.elision.size());
-    for (size_t i = 0; i < g1.elision.size(); ++i) {
-      if (g1.elision[i]) {
-        EXPECT_TRUE(gen2.elision[i]) << "gen-1 elision lost at index " << i;
-      }
-    }
-    EXPECT_GE(gen2.gen2_clean, gen2.gen1_clean);
+  std::vector<campaign::PolicyVariant> columns = campaign::ablation_variants();
+  for (const campaign::PolicyVariant& c : campaign::coverage_columns()) {
+    columns.push_back(c);
   }
+  for (const guest::apps::AppEntry& app : guest::apps::registry()) {
+    const asmgen::Program p =
+        asmgen::assemble(guest::link_with_runtime(app.make()));
+    const Cfg cfg(p);
+    for (const campaign::PolicyVariant& column : columns) {
+      const TaintAnalysis g1 = analyze_taint(cfg, column.policy);
+      const VsaAnalysis g2 = analyze_vsa(cfg, column.policy);
+      EXPECT_FALSE(g2.exhausted) << app.name << " / " << column.name;
+      ASSERT_EQ(g1.elision.size(), g2.elision.size());
+      size_t lost = 0;
+      for (size_t i = 0; i < g1.elision.size(); ++i) {
+        if (g1.elision[i] != 0 && g2.elision[i] == 0) ++lost;
+      }
+      EXPECT_EQ(lost, 0u) << "gen-1 elisions missing from the VSA table: "
+                          << app.name << " / " << column.name;
+    }
+  }
+}
+
+// No corpus program reaches the VSA's block-run budget, so the degraded
+// result is built by hand, exactly as VsaEngine::finish degrades on
+// exhaustion: every CFG-reachable site Top (leak sites: every address
+// plane) and nothing elided.  The table must then be gen-1's.
+TEST(Gen2Elision, ExhaustedVsaFallsBackToRegisterOnlyTable) {
+  const asmgen::Program p =
+      asmgen::assemble(guest::link_with_runtime(guest::apps::null_httpd()));
+  const Cfg cfg(p);
+  const cpu::TaintPolicy policy;
+  VsaAnalysis vsa = analyze_vsa(cfg, policy);
+  vsa.exhausted = true;
+  const std::vector<bool> reach = cfg.reachable_blocks();
+  auto reachable = [&](uint32_t pc) {
+    const int b = cfg.block_at(pc);
+    return b >= 0 && reach[static_cast<size_t>(b)];
+  };
+  for (DerefSite& s : vsa.sites) {
+    if (!reachable(s.pc)) continue;
+    s.reachable = true;
+    s.may_taint = Taint::kTop;
+  }
+  for (LeakSite& s : vsa.leak_sites) {
+    if (!reachable(s.pc)) continue;
+    s.reachable = true;
+    s.may_planes = mem::kAddrMask;
+  }
+  std::fill(vsa.elision.begin(), vsa.elision.end(), 0);
+  std::fill(vsa.leak_elision.begin(), vsa.leak_elision.end(), 0);
+  vsa.leak_clean = 0;
+
+  const TaintAnalysis g1 = analyze_taint(cfg, policy);
+  ASSERT_GT(g1.proven_clean, 0u);
+  const Gen2Elision table = gen2_elision(cfg, policy, vsa);
+  EXPECT_EQ(table.elision, g1.elision);
+  EXPECT_EQ(table.gen2_clean, g1.proven_clean);
+  EXPECT_TRUE(std::all_of(table.leak_elision.begin(), table.leak_elision.end(),
+                          [](uint8_t bit) { return bit == 0; }));
 }
 
 // ---- static/dynamic Table 1 parity -----------------------------------------
@@ -286,8 +337,8 @@ TEST(Determinism, RepeatRunsAreByteIdentical) {
       EXPECT_EQ(a.witnesses[i].steps[j].loc, b.witnesses[i].steps[j].loc);
     }
   }
-  const Gen2Elision g1 = gen2_elision(cfg, {});
-  const Gen2Elision g2 = gen2_elision(cfg, {});
+  const Gen2Elision g1 = gen2_elision(cfg, {}, analyze_vsa(cfg, {}));
+  const Gen2Elision g2 = gen2_elision(cfg, {}, analyze_vsa(cfg, {}));
   EXPECT_EQ(g1.elision, g2.elision);
 }
 
@@ -405,7 +456,8 @@ TEST(MayPublishProver, Gen2ElisionCarriesAnnotationCounts) {
   policy.leak_detection = true;
   VsaOptions options;
   options.may_publish = resolve_publish_ranges(p, {"send"}, true);
-  const Gen2Elision gen2 = gen2_elision(Cfg(p), policy, options);
+  const Gen2Elision gen2 =
+      gen2_elision(cfg, policy, analyze_vsa(cfg, policy, options));
   EXPECT_GT(gen2.leak_annotated, 0u);
 }
 
