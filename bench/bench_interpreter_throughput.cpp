@@ -46,10 +46,9 @@ struct Cell {
 };
 
 Cell measure(const SpecWorkload& w, const char* engine, int reps) {
-  ::setenv("PTAINT_ENGINE", engine, 1);
   Cell cell;
   for (int rep = 0; rep < reps; ++rep) {
-    auto machine = prepare_spec_workload(w);
+    auto machine = prepare_spec_workload(w, {}, cpu::parse_engine(engine));
     const auto t0 = Clock::now();
     RunReport r = machine->run();
     const double s = std::chrono::duration<double>(Clock::now() - t0).count();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <list>
 #include <map>
 #include <mutex>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "analysis/cfg.hpp"
+#include "core/settings.hpp"
 
 namespace ptaint::analysis {
 
@@ -254,20 +254,6 @@ struct Key {
   }
 };
 
-size_t env_capacity() {
-  const char* v = std::getenv("PTAINT_ANALYSIS_CACHE_CAP");
-  if (v == nullptr || *v == '\0') return 32;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 0 ? static_cast<size_t>(n) : 32;
-}
-
-int env_jobs() {
-  const char* v = std::getenv("PTAINT_ANALYSIS_JOBS");
-  if (v == nullptr || *v == '\0') return 1;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 0 ? static_cast<int>(n) : 1;
-}
-
 }  // namespace
 
 std::string CacheStats::json(bool include_timing) const {
@@ -304,8 +290,9 @@ struct SummaryCache::Impl {
   std::map<Key, Entry> entries;
   std::set<Key> in_flight;
   CacheStats stats;
-  size_t capacity = env_capacity();
-  int jobs = env_jobs();
+  size_t capacity = 32;
+  int jobs = 1;
+  bool enabled = core::settings().analysis_cache;
 };
 
 SummaryCache::SummaryCache() : impl_(std::make_shared<Impl>()) {}
@@ -315,9 +302,14 @@ SummaryCache& SummaryCache::instance() {
   return cache;
 }
 
-bool SummaryCache::enabled() {
-  const char* v = std::getenv("PTAINT_ANALYSIS_CACHE");
-  return v == nullptr || std::string(v) != "0";
+bool SummaryCache::enabled() const {
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  return impl_->enabled;
+}
+
+void SummaryCache::set_enabled(bool on) {
+  std::lock_guard<std::mutex> lk(impl_->mu);
+  impl_->enabled = on;
 }
 
 CacheStats SummaryCache::stats() const {
@@ -356,10 +348,11 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
   const Key key{program_hash(program), policy_hash(policy, options)};
 
   std::shared_ptr<const CachedAnalysis> base;  // warm candidate
-  int jobs = 1;
-  if (enabled()) {
-    std::unique_lock<std::mutex> lk(im.mu);
-    ++im.stats.lookups;
+  std::unique_lock<std::mutex> lk(im.mu);
+  ++im.stats.lookups;
+  const int jobs = im.jobs;
+  const bool memoize = im.enabled;
+  if (memoize) {
     for (;;) {
       auto it = im.entries.find(key);
       if (it != im.entries.end()) {
@@ -373,7 +366,6 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
       im.cv.wait(lk);
     }
     im.in_flight.insert(key);
-    jobs = im.jobs;
     // Warm base: the most recently used entry under the same policy
     // column — campaign variants arrive in bursts per policy.
     for (const Key& k : im.lru) {
@@ -382,11 +374,8 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
         break;
       }
     }
-  } else {
-    std::lock_guard<std::mutex> lk(im.mu);
-    ++im.stats.lookups;
-    jobs = im.jobs;
   }
+  lk.unlock();
 
   const auto t0 = std::chrono::steady_clock::now();
   const Cfg cfg(program);
@@ -434,15 +423,12 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
                           std::chrono::steady_clock::now() - t0)
                           .count();
 
-  if (!enabled()) {
-    std::lock_guard<std::mutex> lk(im.mu);
+  lk.lock();
+  im.stats.analysis_micros += static_cast<uint64_t>(micros);
+  if (!memoize) {
     ++im.stats.cold_misses;
-    im.stats.analysis_micros += static_cast<uint64_t>(micros);
     return result;
   }
-
-  std::lock_guard<std::mutex> lk(im.mu);
-  im.stats.analysis_micros += static_cast<uint64_t>(micros);
   if (warm) {
     ++im.stats.warm_hits;
   } else if (base != nullptr) {

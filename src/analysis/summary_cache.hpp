@@ -26,11 +26,9 @@
 // hashed alongside: the same program under a different Table 1
 // configuration is a different entry.
 //
-// Environment knobs:
-//   PTAINT_ANALYSIS_CACHE=0    bypass (every lookup analyzes cold; the CI
-//                              identity leg diffs this against cached runs)
-//   PTAINT_ANALYSIS_JOBS=N     thread-pool width for cold VSA fixpoints
-//   PTAINT_ANALYSIS_CACHE_CAP  LRU capacity in entries (default 32)
+// Memoization defaults to on; PTAINT_ANALYSIS_CACHE=0 turns it off for
+// every cache in the process (the CI identity leg diffs that against cached
+// runs), and set_enabled(false) turns it off for one cache.
 #pragma once
 
 #include <cstdint>
@@ -92,13 +90,14 @@ class SummaryCache {
   CacheStats stats() const;
   void clear();
 
-  void set_capacity(size_t cap);
-  void set_jobs(int jobs);
+  void set_capacity(size_t cap);  // LRU entries (default 32)
+  void set_jobs(int jobs);        // cold VSA fixpoint threads (default 1)
   int jobs() const;
 
-  /// PTAINT_ANALYSIS_CACHE != "0" (memoization on).  When off, analyze()
+  /// Memoization on (default: PTAINT_ANALYSIS_CACHE).  When off, analyze()
   /// still computes and returns the same result object, uncached.
-  static bool enabled();
+  bool enabled() const;
+  void set_enabled(bool on);
 
  private:
   struct Impl;

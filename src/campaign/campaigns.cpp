@@ -1,7 +1,6 @@
 #include "campaign/campaigns.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,32 +27,18 @@ std::string spec_verdict(const core::SpecRunRow& row) {
   return row.ok ? "OK" : "UNEXPECTED";
 }
 
-/// Shared, copyable views of the corpora so job closures can keep them
-/// alive past the builder function's return.
-std::vector<std::shared_ptr<const core::Scenario>> shared_corpus() {
-  std::vector<std::shared_ptr<const core::Scenario>> out;
-  for (auto& s : core::make_attack_corpus()) out.push_back(std::move(s));
-  return out;
-}
-
-std::vector<std::shared_ptr<const core::SpecWorkload>> shared_workloads(
-    int scale) {
-  std::vector<std::shared_ptr<const core::SpecWorkload>> out;
-  for (auto& w : core::make_spec_workloads(scale)) {
-    out.push_back(std::make_shared<const core::SpecWorkload>(std::move(w)));
-  }
-  return out;
-}
-
-/// Process-wide memoized corpora for the per-cell entry points.  Building
-/// the attack corpus assembles every scenario's guest program (~90ms) —
-/// negligible once per batch campaign, ruinous when the serve daemon pays
-/// it on every submitted cell.  Scenarios and workloads are immutable, and
-/// batch campaigns already share them across worker threads, so one
-/// process-wide copy changes nothing semantically.
+/// Process-wide memoized corpora, shared (job closures keep entries alive
+/// past the builder's return).  Building the attack corpus assembles every
+/// scenario's guest program (~90ms) — negligible once per batch campaign,
+/// ruinous when the serve daemon pays it on every submitted cell.
+/// Scenarios and workloads are immutable, so one process-wide copy shared
+/// across worker threads changes nothing semantically.
 const std::vector<std::shared_ptr<const core::Scenario>>& cached_corpus() {
-  static const std::vector<std::shared_ptr<const core::Scenario>> corpus =
-      shared_corpus();
+  static const std::vector<std::shared_ptr<const core::Scenario>> corpus = [] {
+    std::vector<std::shared_ptr<const core::Scenario>> out;
+    for (auto& s : core::make_attack_corpus()) out.push_back(std::move(s));
+    return out;
+  }();
   return corpus;
 }
 
@@ -66,9 +51,31 @@ cached_workloads(int scale) {
   std::lock_guard<std::mutex> lock(mutex);
   auto it = by_scale.find(scale);
   if (it == by_scale.end()) {
-    it = by_scale.emplace(scale, shared_workloads(scale)).first;
+    std::vector<std::shared_ptr<const core::SpecWorkload>> built;
+    for (auto& w : core::make_spec_workloads(scale)) {
+      built.push_back(std::make_shared<const core::SpecWorkload>(std::move(w)));
+    }
+    it = by_scale.emplace(scale, std::move(built)).first;
   }
   return it->second;
+}
+
+/// The memoized workload / scenario called `name`; throws
+/// std::invalid_argument for an unknown name.
+const std::shared_ptr<const core::SpecWorkload>& find_workload(
+    int scale, const std::string& name) {
+  for (const auto& w : cached_workloads(scale)) {
+    if (w->name == name) return w;
+  }
+  throw std::invalid_argument("unknown spec workload: " + name);
+}
+
+const std::shared_ptr<const core::Scenario>& find_scenario(
+    const std::string& name) {
+  for (const auto& s : cached_corpus()) {
+    if (s->name() == name) return s;
+  }
+  throw std::invalid_argument("unknown attack scenario: " + name);
 }
 
 /// Machine config for a fork of a shared snapshot under `policy`.  The
@@ -96,37 +103,9 @@ std::string machine_key(const std::string& policy_name, uint64_t budget,
                         bool elide, std::optional<cpu::Engine> engine) {
   std::string key = policy_name + "|b" + std::to_string(budget);
   if (elide) key += "|elide";
-  if (engine) {
-    switch (*engine) {
-      case cpu::Engine::kStep: key += "|step"; break;
-      case cpu::Engine::kSuperblock: key += "|superblock"; break;
-      case cpu::Engine::kJit: key += "|jit"; break;
-    }
-  }
+  if (engine) key += std::string("|") + cpu::to_string(*engine);
   return key;
 }
-
-/// Pins PTAINT_ENGINE for a scope (serial reference runs); restores the
-/// previous value on destruction.
-class ScopedEngineEnv {
- public:
-  explicit ScopedEngineEnv(const char* value) {
-    if (const char* old = std::getenv("PTAINT_ENGINE")) saved_ = old;
-    ::setenv("PTAINT_ENGINE", value, /*overwrite=*/1);
-  }
-  ~ScopedEngineEnv() {
-    if (saved_) {
-      ::setenv("PTAINT_ENGINE", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("PTAINT_ENGINE");
-    }
-  }
-  ScopedEngineEnv(const ScopedEngineEnv&) = delete;
-  ScopedEngineEnv& operator=(const ScopedEngineEnv&) = delete;
-
- private:
-  std::optional<std::string> saved_;
-};
 
 Job spec_job(SnapshotCache& cache,
              const std::shared_ptr<const core::SpecWorkload>& w,
@@ -189,8 +168,10 @@ Job attack_job(SnapshotCache& cache,
 
 /// The Table 4 contrast case: the WRITE (%n) variant of the format-string
 /// leak, expected to be *caught* by the pointer-taintedness detector.
-std::unique_ptr<core::Machine> prepare_fn_format_write() {
+std::unique_ptr<core::Machine> prepare_fn_format_write(
+    std::optional<cpu::Engine> engine = std::nullopt) {
   core::MachineConfig cfg;
+  cfg.engine = engine;
   auto m = std::make_unique<core::Machine>(cfg);
   m->load_sources(guest::link_with_runtime(guest::apps::fn_format_leak()));
   m->os().net().add_session({"abcd%x%x%x%x%n"});
@@ -225,54 +206,12 @@ Job fn_format_write_job(SnapshotCache& cache, bool elide,
 
 // --- matrices -------------------------------------------------------------
 
-std::vector<Job> ablation_jobs(SnapshotCache& cache, int spec_scale,
-                               bool elide,
-                               std::optional<cpu::Engine> engine) {
-  const auto workloads = shared_workloads(spec_scale);
-  const auto corpus = shared_corpus();
-  std::vector<Job> jobs;
-  for (const PolicyVariant& v : ablation_variants()) {
-    for (const auto& w : workloads) {
-      jobs.push_back(spec_job(cache, w, v, elide, engine));
-    }
-    for (const auto& s : corpus) {
-      if (!s->expected_detected()) continue;
-      jobs.push_back(attack_job(cache, s, v.name, v.policy, elide, engine));
-    }
-  }
-  return jobs;
-}
-
 const core::AttackId kFalsenegIds[] = {core::AttackId::kFnIntOverflow,
                                        core::AttackId::kFnAuthFlag,
                                        core::AttackId::kFnFormatLeak};
 const char* const kFalsenegLabels[] = {"(A) integer overflow index",
                                        "(B) auth-flag overwrite",
                                        "(C) format-string info leak"};
-
-std::vector<Job> falseneg_jobs(SnapshotCache& cache, bool elide,
-                               std::optional<cpu::Engine> engine) {
-  std::vector<Job> jobs;
-  cpu::TaintPolicy paper;  // defaults: pointer-taintedness, all rules on
-  for (core::AttackId id : kFalsenegIds) {
-    std::shared_ptr<const core::Scenario> s = core::make_scenario(id);
-    jobs.push_back(attack_job(cache, s, "paper", paper, elide, engine));
-  }
-  jobs.push_back(fn_format_write_job(cache, elide, engine));
-  return jobs;
-}
-
-std::vector<Job> coverage_jobs(SnapshotCache& cache, bool elide,
-                               std::optional<cpu::Engine> engine) {
-  const auto corpus = shared_corpus();
-  std::vector<Job> jobs;
-  for (const PolicyVariant& v : coverage_columns()) {
-    for (const auto& s : corpus) {
-      jobs.push_back(attack_job(cache, s, v.name, v.policy, elide, engine));
-    }
-  }
-  return jobs;
-}
 
 // --- serial references ----------------------------------------------------
 
@@ -295,72 +234,30 @@ JobResult serial_row(size_t index, std::string app, std::string payload,
   return r;
 }
 
-std::vector<JobResult> ablation_serial(int spec_scale) {
-  std::vector<JobResult> out;
-  const auto workloads = core::make_spec_workloads(spec_scale);
-  const auto corpus = core::make_attack_corpus();
-  for (const PolicyVariant& v : ablation_variants()) {
-    for (const auto& w : workloads) {
-      JobResult r = serial_row(out.size(), "spec", w.name, v.name);
-      auto m = core::prepare_spec_workload(w, v.policy);
-      r.report = m->run();
-      const core::SpecRunRow row = core::classify_spec_run(w, *m, r.report);
-      r.verdict = spec_verdict(row);
-      r.detail = row.alert ? r.report.alert_line() : "";
-      r.status = status_for(r.report);
-      out.push_back(std::move(r));
-    }
-    for (const auto& s : corpus) {
-      if (!s->expected_detected()) continue;
-      JobResult r = serial_row(out.size(), "attack", s->name(), v.name);
-      core::ScenarioResult sr = s->run_attack_with(v.policy);
-      r.report = sr.report;
-      r.verdict = core::to_string(sr.outcome);
-      r.detail = sr.detail;
-      r.status = status_for(r.report);
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
-}
-
-std::vector<JobResult> falseneg_serial() {
-  std::vector<JobResult> out;
-  for (core::AttackId id : kFalsenegIds) {
-    auto s = core::make_scenario(id);
-    JobResult r = serial_row(out.size(), "attack", s->name(), "paper");
+/// One matrix cell run through the pre-campaign entry points on `engine`.
+JobResult serial_cell(size_t index, const CellRef& cell, int spec_scale,
+                      cpu::Engine engine) {
+  JobResult r = serial_row(index, cell.app, cell.payload, cell.policy);
+  const cpu::TaintPolicy policy = *policy_by_name(cell.policy);
+  if (cell.app == "spec") {
+    const core::SpecWorkload& w = *find_workload(spec_scale, cell.payload);
+    auto m = core::prepare_spec_workload(w, policy, engine);
+    r.report = m->run();
+    const core::SpecRunRow row = core::classify_spec_run(w, *m, r.report);
+    r.verdict = spec_verdict(row);
+    r.detail = row.alert ? r.report.alert_line() : "";
+  } else if (cell.payload == "fn-format-write") {
+    r.report = prepare_fn_format_write(engine)->run();
+    classify_fn_format_write(r.report, r);
+  } else {
     core::ScenarioResult sr =
-        s->run_attack(cpu::DetectionMode::kPointerTaint);
-    r.report = sr.report;
+        find_scenario(cell.payload)->run_attack_with(policy, engine);
+    r.report = std::move(sr.report);
     r.verdict = core::to_string(sr.outcome);
-    r.detail = sr.detail;
-    r.status = status_for(r.report);
-    out.push_back(std::move(r));
+    r.detail = std::move(sr.detail);
   }
-  JobResult r = serial_row(out.size(), "attack", "fn-format-write", "paper");
-  auto m = prepare_fn_format_write();
-  r.report = m->run();
-  classify_fn_format_write(r.report, r);
   r.status = status_for(r.report);
-  out.push_back(std::move(r));
-  return out;
-}
-
-std::vector<JobResult> coverage_serial() {
-  std::vector<JobResult> out;
-  const auto corpus = core::make_attack_corpus();
-  for (const PolicyVariant& v : coverage_columns()) {
-    for (const auto& s : corpus) {
-      JobResult r = serial_row(out.size(), "attack", s->name(), v.name);
-      core::ScenarioResult sr = s->run_attack_with(v.policy);
-      r.report = sr.report;
-      r.verdict = core::to_string(sr.outcome);
-      r.detail = sr.detail;
-      r.status = status_for(r.report);
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
+  return r;
 }
 
 // --- formatters -----------------------------------------------------------
@@ -444,9 +341,9 @@ std::string format_coverage(const std::vector<JobResult>& results) {
 
 // Coverage policy columns: the three detection modes plus the address-leak
 // direction ("leak-aware": paper pointer-taint with
-// TaintPolicy::leak_detection armed).  One list shared by coverage_jobs /
-// coverage_serial / campaign_cells / policy_by_name so the four views of
-// the matrix can never disagree on the column set.
+// TaintPolicy::leak_detection armed).  One list shared by campaign_cells
+// and policy_by_name so the views of the matrix can never disagree on the
+// column set.
 std::vector<PolicyVariant> coverage_columns() {
   std::vector<PolicyVariant> out;
   for (cpu::DetectionMode mode :
@@ -507,23 +404,22 @@ std::vector<std::string> campaign_names() {
 std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
                            int spec_scale, bool elide,
                            std::optional<cpu::Engine> engine) {
-  if (campaign == "ablation") {
-    return ablation_jobs(cache, spec_scale, elide, engine);
+  std::vector<Job> jobs;
+  for (const CellRef& cell : campaign_cells(campaign, spec_scale)) {
+    jobs.push_back(make_cell_job(cell, cache, spec_scale, elide, engine));
   }
-  if (campaign == "falseneg") return falseneg_jobs(cache, elide, engine);
-  if (campaign == "coverage") return coverage_jobs(cache, elide, engine);
-  throw std::invalid_argument("unknown campaign: " + campaign);
+  return jobs;
 }
 
 std::vector<CellRef> campaign_cells(const std::string& campaign,
                                     int spec_scale) {
   std::vector<CellRef> out;
   if (campaign == "ablation") {
-    const auto workloads = core::make_spec_workloads(spec_scale);
-    const auto corpus = core::make_attack_corpus();
     for (const PolicyVariant& v : ablation_variants()) {
-      for (const auto& w : workloads) out.push_back({"spec", w.name, v.name});
-      for (const auto& s : corpus) {
+      for (const auto& w : cached_workloads(spec_scale)) {
+        out.push_back({"spec", w->name, v.name});
+      }
+      for (const auto& s : cached_corpus()) {
         if (!s->expected_detected()) continue;
         out.push_back({"attack", s->name(), v.name});
       }
@@ -538,9 +434,8 @@ std::vector<CellRef> campaign_cells(const std::string& campaign,
     return out;
   }
   if (campaign == "coverage") {
-    const auto corpus = core::make_attack_corpus();
     for (const PolicyVariant& v : coverage_columns()) {
-      for (const auto& s : corpus) {
+      for (const auto& s : cached_corpus()) {
         out.push_back({"attack", s->name(), v.name});
       }
     }
@@ -567,12 +462,8 @@ Job make_cell_job(const CellRef& cell, SnapshotCache& cache, int spec_scale,
     throw std::invalid_argument("unknown policy: " + cell.policy);
   }
   if (cell.app == "spec") {
-    for (const auto& w : cached_workloads(spec_scale)) {
-      if (w->name == cell.payload) {
-        return spec_job(cache, w, {cell.policy, *policy}, elide, engine);
-      }
-    }
-    throw std::invalid_argument("unknown spec workload: " + cell.payload);
+    return spec_job(cache, find_workload(spec_scale, cell.payload),
+                    {cell.policy, *policy}, elide, engine);
   }
   if (cell.app == "attack") {
     if (cell.payload == "fn-format-write") {
@@ -582,12 +473,8 @@ Job make_cell_job(const CellRef& cell, SnapshotCache& cache, int spec_scale,
       }
       return fn_format_write_job(cache, elide, engine);
     }
-    for (const auto& s : cached_corpus()) {
-      if (s->name() == cell.payload) {
-        return attack_job(cache, s, cell.policy, *policy, elide, engine);
-      }
-    }
-    throw std::invalid_argument("unknown attack scenario: " + cell.payload);
+    return attack_job(cache, find_scenario(cell.payload), cell.policy,
+                      *policy, elide, engine);
   }
   throw std::invalid_argument("unknown app kind: " + cell.app);
 }
@@ -650,12 +537,13 @@ Job make_session_job(const std::string& app_name,
 std::vector<JobResult> run_serial_reference(const std::string& campaign,
                                             int spec_scale) {
   // The serial reference is the semantic baseline, so it always runs on
-  // the reference interpreter regardless of the ambient engine selection.
-  ScopedEngineEnv pin("step");
-  if (campaign == "ablation") return ablation_serial(spec_scale);
-  if (campaign == "falseneg") return falseneg_serial();
-  if (campaign == "coverage") return coverage_serial();
-  throw std::invalid_argument("unknown campaign: " + campaign);
+  // the reference interpreter regardless of the process default engine.
+  std::vector<JobResult> out;
+  for (const CellRef& cell : campaign_cells(campaign, spec_scale)) {
+    out.push_back(
+        serial_cell(out.size(), cell, spec_scale, cpu::Engine::kStep));
+  }
+  return out;
 }
 
 std::string format_campaign(const std::string& campaign,
@@ -682,24 +570,12 @@ StaticCheckReport static_check(const std::string& campaign,
     if (it != programs.end()) return it->second;
     std::unique_ptr<core::Machine> m;
     if (r.app == "spec") {
-      for (const auto& w : core::make_spec_workloads(spec_scale)) {
-        if (w.name == r.payload) {
-          m = core::prepare_spec_workload(w, {});
-          break;
-        }
-      }
+      m = core::prepare_spec_workload(*find_workload(spec_scale, r.payload));
     } else if (r.payload == "fn-format-write") {
       m = prepare_fn_format_write();
     } else {
-      for (const auto& s : core::make_attack_corpus()) {
-        if (s->name() == r.payload) {
-          m = s->prepare_attack({});
-          break;
-        }
-      }
+      m = find_scenario(r.payload)->prepare_attack({});
     }
-    if (!m) throw std::invalid_argument("static_check: unknown payload " +
-                                        r.payload);
     return programs.emplace(r.payload, m->program()).first->second;
   };
 

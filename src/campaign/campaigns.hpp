@@ -9,10 +9,10 @@
 //                 pointer-taint, leak-aware} policy columns ("leak-aware"
 //                 is the paper policy with TaintPolicy::leak_detection on).
 //
-// Each campaign comes in three pieces that must agree:
+// Each campaign is one list of cells (campaign_cells) and three pieces:
 //   make_jobs()             — the parallel matrix (snapshot-fork per job);
 //   run_serial_reference()  — the same matrix run serially through the
-//                             pre-campaign entry points (run_spec_workload,
+//                             pre-campaign entry points (prepare_spec_workload,
 //                             Scenario::run_attack_with), in the same order;
 //   format_campaign()       — renders ordered results into the exact text
 //                             the original serial bench printed.
@@ -60,7 +60,7 @@ struct CellRef {
 };
 
 /// The cells of `campaign` in matrix order, labels only (no machines are
-/// built).  make_cell_job on each cell reproduces make_jobs exactly.
+/// built).  make_jobs is make_cell_job over exactly these cells.
 std::vector<CellRef> campaign_cells(const std::string& campaign,
                                     int spec_scale = 1);
 
@@ -68,9 +68,8 @@ std::vector<CellRef> campaign_cells(const std::string& campaign,
 /// or "paper") to its TaintPolicy; nullopt for unknown labels.
 std::optional<cpu::TaintPolicy> policy_by_name(const std::string& name);
 
-/// Builds the single job for one matrix cell.  Snapshot sharing, machine
-/// keys, budgets and classifiers are identical to the cell's make_jobs
-/// counterpart, so a daemon running cells one at a time reports exactly
+/// Builds the single job for one matrix cell — the same job make_jobs
+/// builds for it, so a daemon running cells one at a time reports exactly
 /// what a batch campaign run reports.  Throws std::invalid_argument for an
 /// unknown app/payload/policy label.
 Job make_cell_job(const CellRef& cell, SnapshotCache& cache,
@@ -96,8 +95,8 @@ Job make_session_job(const std::string& app_name,
 /// With `elide`, every forked machine runs with static check-elision on
 /// (src/analysis proves sites clean; verdicts are unchanged — pair with
 /// --check against the non-elided serial reference to prove it).
-/// `engine` pins every forked machine's execution engine; unset resolves
-/// through PTAINT_ENGINE / the superblock default (MachineConfig::engine).
+/// `engine` pins every forked machine's execution engine; unset means the
+/// process default (MachineConfig::engine).
 std::vector<Job> make_jobs(const std::string& campaign, SnapshotCache& cache,
                            int spec_scale = 1, bool elide = false,
                            std::optional<cpu::Engine> engine = std::nullopt);
@@ -133,9 +132,9 @@ StaticCheckReport static_check(const std::string& campaign,
 /// Runs the same matrix serially through the original entry points and
 /// returns results in the same matrix order (status fields as the executor
 /// would report them for a normally-ending guest).  The reference always
-/// runs on the step engine (PTAINT_ENGINE is pinned to "step" for the
-/// duration), so --check doubles as a cross-engine identity check when the
-/// parallel side runs superblocks.
+/// runs on the step engine (passed explicitly to every factory), so
+/// --check doubles as a cross-engine identity check when the parallel side
+/// runs superblocks.
 std::vector<JobResult> run_serial_reference(const std::string& campaign,
                                             int spec_scale = 1);
 

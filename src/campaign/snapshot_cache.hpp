@@ -47,9 +47,9 @@ struct StoreOptions {
   /// unsupported (the write-behind files would race).
   std::string disk_dir;
 
-  /// Environment resolution: PTAINT_SNAPSHOT_STORE (any value other than
-  /// empty or "0") enables a memory-only store; PTAINT_SNAPSHOT_DIR=<dir>
-  /// enables the store with a disk tier; PTAINT_SNAPSHOT_HOT=<n> overrides
+  /// The process settings (core/settings.hpp): PTAINT_SNAPSHOT_STORE=1
+  /// enables a memory-only store; PTAINT_SNAPSHOT_DIR=<dir> enables the
+  /// store with a disk tier; PTAINT_SNAPSHOT_HOT=<n> overrides
   /// hot_snapshots.  Used by the default SnapshotCache constructor, so the
   /// whole test/bench/tool surface can be flipped store-backed externally.
   static StoreOptions from_env();

@@ -45,11 +45,11 @@ struct ScenarioSpec {
   uint64_t max_instructions = 50'000'000;
   std::vector<std::string> attack_argv;  // guest argv for the attack run
   std::vector<std::string> benign_argv;
-  // Installs attack inputs (stdin / argv / network sessions).  Receives the
+  // Installs inputs (stdin / argv / network sessions).  Receives the
   // assembled program so payloads can splice symbol addresses.
-  std::function<void(Machine&, const asmgen::Program&)> arm_attack;
-  // Installs the benign workload.
-  std::function<void(Machine&, const asmgen::Program&)> arm_benign;
+  using Arm = std::function<void(Machine&, const asmgen::Program&)>;
+  Arm arm_attack;
+  Arm arm_benign;  // the benign workload
   // Evidence that the attack achieved its goal (run with detection off or
   // when the detector misses).  Returns a description, or nullopt.
   std::function<std::optional<std::string>(Machine&, const RunReport&)>
@@ -69,25 +69,14 @@ class SpecScenario : public Scenario {
   uint64_t max_instructions() const override { return spec_.max_instructions; }
 
   std::unique_ptr<Machine> prepare_attack(
-      const cpu::TaintPolicy& policy) const override {
-    MachineConfig cfg;
-    cfg.policy = policy;
-    cfg.max_instructions = spec_.max_instructions;
-    cfg.argv = spec_.attack_argv;
-    auto m = std::make_unique<Machine>(cfg);
-    m->load_sources(link_with_runtime(spec_.app));
-    spec_.arm_attack(*m, m->program());
-    return m;
+      const cpu::TaintPolicy& policy,
+      std::optional<cpu::Engine> engine) const override {
+    return prepare(policy, spec_.attack_argv, spec_.arm_attack, engine);
   }
 
-  std::unique_ptr<Machine> prepare_benign() const override {
-    MachineConfig cfg;  // full paper policy
-    cfg.max_instructions = spec_.max_instructions;
-    cfg.argv = spec_.benign_argv;
-    auto m = std::make_unique<Machine>(cfg);
-    m->load_sources(link_with_runtime(spec_.app));
-    spec_.arm_benign(*m, m->program());
-    return m;
+  std::unique_ptr<Machine> prepare_benign(
+      std::optional<cpu::Engine> engine) const override {
+    return prepare({}, spec_.benign_argv, spec_.arm_benign, engine);
   }
 
   ScenarioResult classify_attack(Machine& m, RunReport report) const override {
@@ -131,6 +120,21 @@ class SpecScenario : public Scenario {
   }
 
  private:
+  std::unique_ptr<Machine> prepare(const cpu::TaintPolicy& policy,
+                                   const std::vector<std::string>& argv,
+                                   const ScenarioSpec::Arm& arm,
+                                   std::optional<cpu::Engine> engine) const {
+    MachineConfig cfg;
+    cfg.policy = policy;
+    cfg.max_instructions = spec_.max_instructions;
+    cfg.argv = argv;
+    cfg.engine = engine;
+    auto m = std::make_unique<Machine>(cfg);
+    m->load_sources(link_with_runtime(spec_.app));
+    arm(*m, m->program());
+    return m;
+  }
+
   ScenarioSpec spec_;
 };
 
@@ -403,6 +407,25 @@ std::unique_ptr<Scenario> nullhttpd_scenario() {
   return std::make_unique<SpecScenario>(std::move(s));
 }
 
+/// Reconnaissance: runs `app` against `recon_session` on `engine` (the
+/// armed machine's) and returns the word the app dropped at `symbol` — an
+/// address that is deterministic, so the attack payload can splice it.
+uint32_t recon_leaked_word(cpu::Engine engine, const asmgen::Source& app,
+                           const std::vector<std::string>& recon_session,
+                           const char* symbol) {
+  MachineConfig cfg;
+  cfg.max_instructions = 10'000'000;
+  cfg.engine = engine;
+  Machine recon(cfg);
+  recon.load_sources(link_with_runtime(app));
+  recon.os().net().add_session(recon_session);
+  recon.run();
+  const uint32_t addr =
+      recon.memory().load_word(recon.program().symbols.at(symbol)).value;
+  assert(addr != 0);
+  return addr;
+}
+
 std::unique_ptr<Scenario> ghttpd_scenario() {
   ScenarioSpec s;
   s.id = AttackId::kGhttpdStack;
@@ -410,21 +433,12 @@ std::unique_ptr<Scenario> ghttpd_scenario() {
   s.category = "buffer overflow";
   s.control_data = false;
   s.app = apps::ghttpd();
-  s.arm_attack = [](Machine& m, const asmgen::Program& prog) {
+  s.arm_attack = [](Machine& m, const asmgen::Program&) {
     // Reconnaissance run: learn the request buffer's stack address (it is
     // deterministic) from the dbg_reqbuf drop, then build the payload.
-    uint32_t reqbuf;
-    {
-      MachineConfig recon_cfg;
-      recon_cfg.max_instructions = 10'000'000;
-      Machine recon(recon_cfg);
-      recon.load_sources(link_with_runtime(apps::ghttpd()));
-      recon.os().net().add_session({"GET /index.html HTTP/1.0\r\n"});
-      recon.run();
-      reqbuf =
-          recon.memory().load_word(prog.symbols.at("dbg_reqbuf")).value;
-      assert(reqbuf != 0);
-    }
+    const uint32_t reqbuf =
+        recon_leaked_word(m.cpu().engine(), apps::ghttpd(),
+                          {"GET /index.html HTTP/1.0\r\n"}, "dbg_reqbuf");
     // Request layout: "GET " + 196 filler + url-pointer + "\n" + real URL.
     // strcpy(logbuf, request) moves request[200..203] over the URL-pointer
     // slot; it then points at the "/.."-laden URL that was never checked.
@@ -596,27 +610,10 @@ std::unique_ptr<Scenario> fn_fmtleak_scenario() {
 // ---- address-leak -> precise-overwrite scenarios ----
 //
 // The disclosure phase is deterministic, so the "attacker" is modeled the
-// way the ghttpd scenario models reconnaissance: a recon run reads the
-// dbg_* drop to learn the address a live attacker would parse from the
+// way the ghttpd scenario models reconnaissance: recon_leaked_word reads
+// the dbg_* drop to learn the address a live attacker would parse from the
 // leaked bytes, and the scripted session replays the leak request (the
 // detection point under leak_detection) followed by the computed overwrite.
-
-/// Runs `app` against `recon_session` and returns the word the app dropped
-/// at `symbol` — the same address the leak phase disclosed on the wire.
-uint32_t recon_leaked_word(const asmgen::Source& app,
-                           const std::vector<std::string>& recon_session,
-                           const char* symbol) {
-  MachineConfig cfg;
-  cfg.max_instructions = 10'000'000;
-  Machine recon(cfg);
-  recon.load_sources(link_with_runtime(app));
-  recon.os().net().add_session(recon_session);
-  recon.run();
-  const uint32_t addr =
-      recon.memory().load_word(recon.program().symbols.at(symbol)).value;
-  assert(addr != 0);
-  return addr;
-}
 
 std::optional<std::string> shell_exec_evidence(Machine& m, const char* what) {
   for (const auto& path : m.os().exec_log()) {
@@ -635,8 +632,9 @@ std::unique_ptr<Scenario> leak_telemetry_scenario() {
   s.app = apps::leak_telemetry();
   s.arm_attack = [](Machine& m, const asmgen::Program&) {
     // PEEK leaks &reqbuf; is_admin sits 8 bytes below it (sp+24 vs sp+32).
-    const uint32_t reqbuf = recon_leaked_word(
-        apps::leak_telemetry(), {"PEEK", "QUIT"}, "dbg_reqbuf");
+    const uint32_t reqbuf =
+        recon_leaked_word(m.cpu().engine(), apps::leak_telemetry(),
+                          {"PEEK", "QUIT"}, "dbg_reqbuf");
     m.os().net().add_session(
         {"PEEK", "POKE" + le_bytes(reqbuf - 8) + le_bytes(1), "QUIT"});
   };
@@ -660,8 +658,9 @@ std::unique_ptr<Scenario> leak_session_scenario() {
   s.app = apps::leak_session();
   s.arm_attack = [](Machine& m, const asmgen::Program&) {
     // SESS leaks the session record's heap address; uid is its first word.
-    const uint32_t record = recon_leaked_word(
-        apps::leak_session(), {"SESS", "QUIT"}, "dbg_session");
+    const uint32_t record =
+        recon_leaked_word(m.cpu().engine(), apps::leak_session(),
+                          {"SESS", "QUIT"}, "dbg_session");
     m.os().net().add_session(
         {"SESS", "SETU" + le_bytes(record) + le_bytes(0), "QUIT"});
   };
@@ -686,8 +685,9 @@ std::unique_ptr<Scenario> leak_banner_scenario() {
   s.arm_attack = [](Machine& m, const asmgen::Program&) {
     // "%x" prints the spilled request-buffer pointer in hex; the audited
     // flag sits 8 bytes below the buffer (sp+24 vs sp+32).
-    const uint32_t reqbuf = recon_leaked_word(
-        apps::leak_banner(), {"audit %x", "status"}, "dbg_reqbuf");
+    const uint32_t reqbuf =
+        recon_leaked_word(m.cpu().engine(), apps::leak_banner(),
+                          {"audit %x", "status"}, "dbg_reqbuf");
     m.os().net().add_session(
         {"audit %x", "POKE" + le_bytes(reqbuf - 8) + le_bytes(1)});
   };

@@ -72,12 +72,18 @@ class Scenario {
   // classify_* judges a finished run.  The serial wrappers below compose
   // them, so a campaign job that forks a prepared snapshot and classifies
   // the result is verdict-identical to a serial run.
+  //
+  // Every factory takes a trailing `engine` for the machines it builds
+  // (MachineConfig::engine; unset = the process default).  Reconnaissance
+  // machines an arming step runs take the engine of the machine it arms.
 
   /// Builds and arms the attack machine under `policy`; does not run it.
   virtual std::unique_ptr<Machine> prepare_attack(
-      const cpu::TaintPolicy& policy) const = 0;
+      const cpu::TaintPolicy& policy,
+      std::optional<cpu::Engine> engine = std::nullopt) const = 0;
   /// Builds and arms the benign-workload machine (full paper policy).
-  virtual std::unique_ptr<Machine> prepare_benign() const = 0;
+  virtual std::unique_ptr<Machine> prepare_benign(
+      std::optional<cpu::Engine> engine = std::nullopt) const = 0;
   /// Judges a finished attack run (from prepare_attack or a restored fork).
   virtual ScenarioResult classify_attack(Machine& machine,
                                          RunReport report) const = 0;
@@ -86,21 +92,26 @@ class Scenario {
                                          RunReport report) const = 0;
 
   /// Runs the attack under the paper policy with the given mode.
-  ScenarioResult run_attack(cpu::DetectionMode mode) const {
+  ScenarioResult run_attack(
+      cpu::DetectionMode mode,
+      std::optional<cpu::Engine> engine = std::nullopt) const {
     cpu::TaintPolicy policy;
     policy.mode = mode;
-    return run_attack_with(policy);
+    return run_attack_with(policy, engine);
   }
   /// Runs the attack under an arbitrary taint policy (ablations).
-  ScenarioResult run_attack_with(const cpu::TaintPolicy& policy) const {
-    auto machine = prepare_attack(policy);
+  ScenarioResult run_attack_with(
+      const cpu::TaintPolicy& policy,
+      std::optional<cpu::Engine> engine = std::nullopt) const {
+    auto machine = prepare_attack(policy, engine);
     RunReport report = machine->run();
     return classify_attack(*machine, std::move(report));
   }
   /// Runs the matching benign workload under the full paper policy; the
   /// result must be Outcome::kBenign (no false positive).
-  ScenarioResult run_benign() const {
-    auto machine = prepare_benign();
+  ScenarioResult run_benign(
+      std::optional<cpu::Engine> engine = std::nullopt) const {
+    auto machine = prepare_benign(engine);
     RunReport report = machine->run();
     return classify_benign(*machine, std::move(report));
   }

@@ -1,43 +1,16 @@
 #include "core/machine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "analysis/summary_cache.hpp"
 #include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
+#include "core/settings.hpp"
 
 namespace ptaint::core {
 
 using mem::TaintedWord;
 namespace layout = isa::layout;
-
-namespace {
-
-/// Engine resolution: explicit config wins, then the PTAINT_ENGINE
-/// environment variable, then the superblock default.
-cpu::Engine resolve_engine(const std::optional<cpu::Engine>& configured) {
-  if (configured) return *configured;
-  if (const char* env = std::getenv("PTAINT_ENGINE")) {
-    if (std::strcmp(env, "step") == 0) return cpu::Engine::kStep;
-    if (std::strcmp(env, "superblock") == 0) return cpu::Engine::kSuperblock;
-    if (std::strcmp(env, "jit") == 0) return cpu::Engine::kJit;
-  }
-  return cpu::Engine::kSuperblock;
-}
-
-/// COW escape-hatch resolution: explicit config wins, then the
-/// PTAINT_NO_COW environment variable (truthy = anything but "" / "0").
-bool resolve_no_cow(bool configured) {
-  if (configured) return true;
-  if (const char* env = std::getenv("PTAINT_NO_COW")) {
-    return env[0] != '\0' && std::strcmp(env, "0") != 0;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::string RunReport::alert_line() const {
   if (!alert) return "(no alert)";
@@ -47,11 +20,11 @@ std::string RunReport::alert_line() const {
 }
 
 Machine::Machine(MachineConfig config) : config_(std::move(config)) {
-  no_cow_ = resolve_no_cow(config_.no_cow);
+  no_cow_ = config_.no_cow || settings().no_cow;
   os_ = std::make_unique<os::SimOs>();
   cpu_ = std::make_unique<cpu::Cpu>(memory_, config_.policy);
   cpu_->set_os(os_.get());
-  cpu_->set_engine(resolve_engine(config_.engine));
+  cpu_->set_engine(config_.engine.value_or(settings().engine));
   if (config_.pipeline_model) {
     pipeline_ = std::make_unique<cpu::Pipeline>(config_.pipeline);
   }

@@ -45,17 +45,17 @@ struct MachineConfig {
   /// automatically on load_* and restore().
   bool static_elision = false;
 
-  /// Execution engine driving the core.  Unset resolves through the
-  /// PTAINT_ENGINE environment variable ("step" / "superblock") and then
-  /// defaults to the superblock engine (DESIGN.md §9).  Both engines are
-  /// verdict- and statistics-identical; "step" pins the reference
-  /// interpreter (CI runs the whole suite that way so it can never rot).
+  /// Execution engine driving the core: step, superblock or jit.  Unset
+  /// means the process default (PTAINT_ENGINE, else superblock; see
+  /// core/settings.hpp and DESIGN.md §9).  All three are verdict- and
+  /// statistics-identical; step pins the reference interpreter, and jit
+  /// falls back to superblock on hosts that cannot run emitted code.
   std::optional<cpu::Engine> engine;
 
   /// Debugging escape hatch for the copy-on-write snapshot machinery
   /// (DESIGN.md §10): force full deep-copy snapshot/restore, exactly the
-  /// pre-COW semantics.  Also settable via the PTAINT_NO_COW environment
-  /// variable (any value other than empty or "0"); either source wins.
+  /// pre-COW semantics.  PTAINT_NO_COW=1 turns it on process-wide; either
+  /// source wins.
   bool no_cow = false;
 
   /// §5.3-style escape hatch for the address-leak direction: names of
@@ -220,7 +220,7 @@ class Machine {
   void apply_may_publish(bool strict);
 
   MachineConfig config_;
-  bool no_cow_ = false;  // resolved once from config + PTAINT_NO_COW
+  bool no_cow_ = false;  // config_.no_cow || PTAINT_NO_COW
   mem::TaintedMemory memory_;
   std::unique_ptr<os::SimOs> os_;
   std::unique_ptr<cpu::Cpu> cpu_;

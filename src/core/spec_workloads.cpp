@@ -105,11 +105,13 @@ std::vector<SpecWorkload> make_spec_workloads(int scale) {
   return w;
 }
 
-std::unique_ptr<Machine> prepare_spec_workload(const SpecWorkload& workload,
-                                               const cpu::TaintPolicy& policy) {
+std::unique_ptr<Machine> prepare_spec_workload(
+    const SpecWorkload& workload, const cpu::TaintPolicy& policy,
+    std::optional<cpu::Engine> engine) {
   MachineConfig cfg;
   cfg.policy = policy;
   cfg.max_instructions = 2'000'000'000;
+  cfg.engine = engine;
   auto m = std::make_unique<Machine>(cfg);
   m->load_sources(guest::link_with_runtime(workload.app));
   m->os().vfs().install("/input", workload.input);
@@ -117,8 +119,9 @@ std::unique_ptr<Machine> prepare_spec_workload(const SpecWorkload& workload,
 }
 
 SpecRunRow run_spec_workload(const SpecWorkload& workload,
-                             const cpu::TaintPolicy& policy) {
-  auto m = prepare_spec_workload(workload, policy);
+                             const cpu::TaintPolicy& policy,
+                             std::optional<cpu::Engine> engine) {
+  auto m = prepare_spec_workload(workload, policy, engine);
   RunReport report = m->run();
   return classify_spec_run(workload, *m, report);
 }

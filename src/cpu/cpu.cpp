@@ -1,6 +1,7 @@
 #include "cpu/cpu.hpp"
 
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 
 #include "cpu/jit/jit_engine.hpp"
@@ -38,15 +39,35 @@ Cpu::Cpu(mem::TaintedMemory& memory, const TaintPolicy& policy)
 
 Cpu::~Cpu() = default;
 
-void Cpu::set_engine(Engine engine) {
-  if (engine == Engine::kJit && !JitEngine::supported()) {
+namespace {
+constexpr const char* kEngineNames[] = {"step", "superblock", "jit"};
+}  // namespace
+
+const char* to_string(Engine engine) {
+  return kEngineNames[static_cast<size_t>(engine)];
+}
+
+std::optional<Engine> parse_engine(std::string_view name) {
+  for (size_t i = 0; i < std::size(kEngineNames); ++i) {
+    if (name == kEngineNames[i]) return static_cast<Engine>(i);
+  }
+  return std::nullopt;
+}
+
+Engine select_engine(Engine requested, bool jit_supported) {
+  return requested == Engine::kJit && !jit_supported ? Engine::kSuperblock
+                                                     : requested;
+}
+
+void Cpu::set_engine(Engine requested) {
+  const Engine engine = select_engine(requested, JitEngine::supported());
+  if (engine != requested) {
     static std::once_flag warned;
     std::call_once(warned, [] {
       std::fprintf(stderr,
                    "ptaint: jit engine not supported on this host; "
                    "falling back to superblock\n");
     });
-    engine = Engine::kSuperblock;
   }
   engine_ = engine;
   if (engine != Engine::kStep && sb_ == nullptr) {

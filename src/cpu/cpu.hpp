@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,14 @@ enum class Engine : uint8_t {
   kSuperblock,  // translated superblocks with threaded dispatch
   kJit,         // hot superblocks compiled to host x86-64 (DESIGN.md §12)
 };
+
+/// The engine's command-line name: "step", "superblock" or "jit".
+const char* to_string(Engine engine);
+/// Inverse of to_string; nullopt for any other spelling.
+std::optional<Engine> parse_engine(std::string_view name);
+/// The engine Cpu::set_engine installs for a request: kJit degrades to
+/// kSuperblock on a host that cannot run emitted code.
+Engine select_engine(Engine requested, bool jit_supported);
 
 /// Observability counters for the superblock engine (ptaint-run
 /// --engine-stats).  Diagnostic only — never part of the cross-engine

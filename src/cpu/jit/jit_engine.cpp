@@ -12,11 +12,11 @@
 #include "cpu/jit/jit_engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
 
+#include "core/settings.hpp"
 #include "cpu/cpu.hpp"
 #include "cpu/jit/emitter.hpp"
 #include "cpu/jit/jit_runtime.hpp"
@@ -119,8 +119,7 @@ JitEngine::~JitEngine() {
 
 bool JitEngine::supported() {
 #if defined(__x86_64__) && (defined(__unix__) || defined(__APPLE__))
-  const char* force = std::getenv("PTAINT_JIT_FORCE_UNSUPPORTED");
-  return force == nullptr || force[0] == '\0' || force[0] == '0';
+  return !core::settings().jit_force_unsupported;
 #else
   return false;
 #endif

@@ -42,7 +42,7 @@ class JitEngine {
   /// True when this host can run emitted code (x86-64 unix).  On other
   /// hosts Cpu::set_engine(kJit) falls back to the superblock engine with a
   /// one-line warning.  PTAINT_JIT_FORCE_UNSUPPORTED=1 forces the fallback
-  /// for testing.
+  /// for testing (read once, through core::settings()).
   static bool supported();
 
   /// The trampoline: same budget semantics as SuperblockEngine::advance.

@@ -297,14 +297,9 @@ void ServeDaemon::connection_main(int fd) {
 
 campaign::Job ServeDaemon::build_job(const JobSpec& spec) {
   std::optional<cpu::Engine> engine;
-  if (spec.engine == "step") {
-    engine = cpu::Engine::kStep;
-  } else if (spec.engine == "superblock") {
-    engine = cpu::Engine::kSuperblock;
-  } else if (spec.engine == "jit") {
-    engine = cpu::Engine::kJit;
-  } else if (!spec.engine.empty()) {
-    throw std::invalid_argument("unknown engine: " + spec.engine);
+  if (!spec.engine.empty()) {
+    engine = cpu::parse_engine(spec.engine);
+    if (!engine) throw std::invalid_argument("unknown engine: " + spec.engine);
   }
   campaign::Job job;
   if (spec.app == "guest") {

@@ -8,13 +8,13 @@
 // interaction.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/attack.hpp"
 #include "core/machine.hpp"
+#include "core/settings.hpp"
 #include "core/spec_workloads.hpp"
 
 namespace ptaint::core {
@@ -23,10 +23,7 @@ namespace {
 /// True when the PTAINT_NO_COW escape hatch is on: every restore is a deep
 /// copy, so assertions about sharing/delta counters must be skipped (the
 /// behavioural assertions still hold — that is the point of the hatch).
-bool cow_disabled() {
-  const char* env = std::getenv("PTAINT_NO_COW");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
+bool cow_disabled() { return settings().no_cow; }
 
 /// Everything observable about a finished run, as one comparable string.
 std::string fingerprint(const RunReport& r) {

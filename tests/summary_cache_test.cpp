@@ -3,13 +3,12 @@
 // chained-hash determinism and locality, the incremental warm path's
 // byte-identity contract against from-scratch cold runs (randomized over
 // mutation sites, with and without witnesses), policy keying, LRU
-// eviction, the PTAINT_ANALYSIS_CACHE=0 bypass, and concurrent lookups
+// eviction, the memoization bypass, and concurrent lookups
 // collapsing onto one analysis.  The suite names match the CI thread
 // sanitizer filter (SummaryCache*).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <random>
 #include <string>
@@ -19,6 +18,7 @@
 #include "analysis/cfg.hpp"
 #include "analysis/summary_cache.hpp"
 #include "asmgen/assembler.hpp"
+#include "core/settings.hpp"
 #include "core/spec_workloads.hpp"
 #include "guest/runtime.hpp"
 #include "isa/isa.hpp"
@@ -200,7 +200,7 @@ std::vector<size_t> imm_sites(const Cfg& cfg) {
 /// there; the identity-contract tests keep running — verifying answers
 /// don't change with the cache off is exactly that leg's job.
 #define PTAINT_REQUIRE_CACHE_ON()                                     \
-  if (!SummaryCache::enabled()) {                                     \
+  if (!core::settings().analysis_cache) {                             \
     GTEST_SKIP() << "memoization disabled via PTAINT_ANALYSIS_CACHE"; \
   }
 
@@ -247,26 +247,16 @@ TEST(SummaryCacheTest, EvictionAtCapacityDropsTheColdestEntry) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(SummaryCacheTest, DisabledViaEnvironmentStillComputesCorrectly) {
+TEST(SummaryCacheTest, DisabledViaConfigStillComputesCorrectly) {
   const asmgen::Program program = spec_program();
   SummaryCache reference;
   const auto want = reference.analyze(program, {});
 
-  // Restore whatever the harness set afterwards (the CI bypass leg runs
-  // this whole binary with PTAINT_ANALYSIS_CACHE=0 already in place).
-  const char* prior = std::getenv("PTAINT_ANALYSIS_CACHE");
-  const std::string saved = prior != nullptr ? prior : "";
-  ASSERT_EQ(setenv("PTAINT_ANALYSIS_CACHE", "0", 1), 0);
-  EXPECT_FALSE(SummaryCache::enabled());
   SummaryCache cache;
+  cache.set_enabled(false);
+  EXPECT_FALSE(cache.enabled());
   const auto x = cache.analyze(program, {});
   const auto y = cache.analyze(program, {});
-  if (prior != nullptr) {
-    ASSERT_EQ(setenv("PTAINT_ANALYSIS_CACHE", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(unsetenv("PTAINT_ANALYSIS_CACHE"), 0);
-    EXPECT_TRUE(SummaryCache::enabled());
-  }
 
   EXPECT_NE(x.get(), y.get());  // nothing memoized
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -362,7 +352,7 @@ TEST(SummaryCacheTest, MutationDirtiesOnlyTheTransitiveCallerClosure) {
     }
   }
   // And (when memoizing) the warm attempt counted exactly that closure.
-  if (SummaryCache::enabled()) {
+  if (cache.enabled()) {
     EXPECT_EQ(cache.stats().invalidated_fns, 3u);
   }
 }
@@ -414,7 +404,7 @@ TEST(SummaryCacheTest, RandomMutationWarmEqualsColdProperty) {
   // The invisible swaps must actually exercise the warm path (visible
   // mutations may fall back; that is their point).  With memoization
   // disabled every run is cold — the identity loop above is the test.
-  if (SummaryCache::enabled()) {
+  if (core::settings().analysis_cache) {
     EXPECT_GE(warm_hits, 5u);
   }
 }
@@ -483,7 +473,7 @@ TEST(SummaryCacheConcurrency, HammerMixedKeysStaysCoherent) {
   EXPECT_EQ(s.lookups, static_cast<uint64_t>(kThreads * kRounds));
   EXPECT_EQ(s.hits + s.cold_misses + s.warm_hits + s.warm_fallbacks,
             s.lookups);
-  if (SummaryCache::enabled()) {
+  if (cache.enabled()) {
     EXPECT_EQ(s.entries, 3u);
   }
 }

@@ -13,7 +13,6 @@
 // identical.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,31 +28,18 @@
 namespace ptaint::core {
 namespace {
 
-/// Pins PTAINT_ENGINE for a scope, so machines built by scenario factories
-/// (which construct their own MachineConfig) resolve to a chosen engine.
-class ScopedEngine {
- public:
-  explicit ScopedEngine(const char* value) {
-    if (const char* old = std::getenv("PTAINT_ENGINE")) saved_ = old;
-    ::setenv("PTAINT_ENGINE", value, 1);
-  }
-  ~ScopedEngine() {
-    if (!saved_.empty()) {
-      ::setenv("PTAINT_ENGINE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("PTAINT_ENGINE");
-    }
-  }
-  ScopedEngine(const ScopedEngine&) = delete;
-  ScopedEngine& operator=(const ScopedEngine&) = delete;
-
- private:
-  std::string saved_;
-};
-
 /// Every execution engine, reference interpreter first.
-constexpr const char* kAllEngines[] = {"step", "superblock", "jit"};
+constexpr cpu::Engine kAllEngines[] = {
+    cpu::Engine::kStep, cpu::Engine::kSuperblock, cpu::Engine::kJit};
 constexpr int kNumEngines = 3;
+const char* name(int e) { return cpu::to_string(kAllEngines[e]); }
+
+/// A default machine config pinned to `engine`.
+MachineConfig on(cpu::Engine engine) {
+  MachineConfig cfg;
+  cfg.engine = engine;
+  return cfg;
+}
 
 /// Full architectural fingerprint: run report, every stats counter, and the
 /// complete register file with taint bits.  Two engines agreeing on this
@@ -86,10 +72,9 @@ std::string fingerprint(Machine& m, const RunReport& r) {
   return ss.str();
 }
 
-std::string run_scenario(AttackId id, const char* engine) {
-  ScopedEngine pin(engine);
+std::string run_scenario(AttackId id, cpu::Engine engine) {
   auto scenario = make_scenario(id);
-  auto machine = scenario->prepare_attack({});
+  auto machine = scenario->prepare_attack({}, engine);
   RunReport r = machine->run();
   return fingerprint(*machine, r);
 }
@@ -98,10 +83,10 @@ TEST(Superblock, AttackCorpusIdenticalAcrossAllEngines) {
   // Every scenario in the corpus, detected and escaped alike, must end in
   // the same architectural state under all three engines.
   for (const auto& scenario : make_attack_corpus()) {
-    const std::string step = run_scenario(scenario->id(), "step");
+    const std::string step = run_scenario(scenario->id(), cpu::Engine::kStep);
     for (int e = 1; e < kNumEngines; ++e) {
       EXPECT_EQ(step, run_scenario(scenario->id(), kAllEngines[e]))
-          << kAllEngines[e] << " divergence in " << scenario->name();
+          << name(e) << " divergence in " << scenario->name();
     }
   }
 }
@@ -110,14 +95,13 @@ TEST(Superblock, BenignSpecSurrogateIdenticalAcrossAllEngines) {
   for (const SpecWorkload& w : make_spec_workloads(1)) {
     std::string prints[kNumEngines];
     for (int e = 0; e < kNumEngines; ++e) {
-      ScopedEngine pin(kAllEngines[e]);
-      auto machine = prepare_spec_workload(w);
+      auto machine = prepare_spec_workload(w, {}, kAllEngines[e]);
       RunReport r = machine->run();
       prints[e] = fingerprint(*machine, r);
     }
     for (int e = 1; e < kNumEngines; ++e) {
       EXPECT_EQ(prints[0], prints[e])
-          << kAllEngines[e] << " divergence in spec workload " << w.name;
+          << name(e) << " divergence in spec workload " << w.name;
     }
   }
 }
@@ -148,11 +132,10 @@ TEST(Superblock, LeakScenariosIdenticalUnderLeakDetection) {
                       AttackId::kLeakBanner}) {
     std::string prints[kNumEngines];
     for (int e = 0; e < kNumEngines; ++e) {
-      ScopedEngine pin(kAllEngines[e]);
-      auto machine = make_scenario(id)->prepare_attack(leak);
+      auto machine = make_scenario(id)->prepare_attack(leak, kAllEngines[e]);
       RunReport r = machine->run();
-      ASSERT_TRUE(r.detected()) << kAllEngines[e];
-      EXPECT_EQ(r.alert->kind, cpu::AlertKind::kAddressLeak) << kAllEngines[e];
+      ASSERT_TRUE(r.detected()) << name(e);
+      EXPECT_EQ(r.alert->kind, cpu::AlertKind::kAddressLeak) << name(e);
       std::ostringstream ss;
       ss << fingerprint(*machine, r) << " aph_data="
          << addr_plane_hash(*machine, 0x10000000u, 0x10020000u)
@@ -162,7 +145,7 @@ TEST(Superblock, LeakScenariosIdenticalUnderLeakDetection) {
     }
     for (int e = 1; e < kNumEngines; ++e) {
       EXPECT_EQ(prints[0], prints[e])
-          << kAllEngines[e] << " divergence in leak scenario "
+          << name(e) << " divergence in leak scenario "
           << static_cast<int>(id);
     }
   }
@@ -183,14 +166,13 @@ TEST(Superblock, BenignLeakAppSessionsIdenticalWithPlanes) {
   for (const Row& row : rows) {
     std::string prints[kNumEngines];
     for (int e = 0; e < kNumEngines; ++e) {
-      ScopedEngine pin(kAllEngines[e]);
-      MachineConfig cfg;
+      MachineConfig cfg = on(kAllEngines[e]);
       cfg.policy.leak_detection = true;
       Machine m(cfg);
       m.load_sources(guest::link_with_runtime(row.app()));
       m.os().net().add_session(row.session);
       RunReport r = m.run();
-      EXPECT_TRUE(r.exited_cleanly()) << kAllEngines[e] << ": " << r.fault;
+      EXPECT_TRUE(r.exited_cleanly()) << name(e) << ": " << r.fault;
       std::ostringstream ss;
       ss << fingerprint(m, r) << " aph_data="
          << addr_plane_hash(m, 0x10000000u, 0x10020000u) << " aph_stack="
@@ -199,7 +181,7 @@ TEST(Superblock, BenignLeakAppSessionsIdenticalWithPlanes) {
     }
     for (int e = 1; e < kNumEngines; ++e) {
       EXPECT_EQ(prints[0], prints[e])
-          << kAllEngines[e] << " divergence in benign session";
+          << name(e) << " divergence in benign session";
     }
   }
 }
@@ -232,13 +214,13 @@ std::string smc_same_block_source() {
 }
 
 TEST(Superblock, SmcPatchInsideExecutingBlockTakesEffect) {
-  for (const char* engine : kAllEngines) {
-    ScopedEngine pin(engine);
-    Machine m;
+  for (const cpu::Engine engine : kAllEngines) {
+    Machine m(on(engine));
     m.load_source(smc_same_block_source());
     RunReport r = m.run();
-    EXPECT_EQ(r.stop, cpu::StopReason::kExit) << engine;
-    EXPECT_EQ(r.exit_status, 42) << engine;  // stale block would exit 0
+    EXPECT_EQ(r.stop, cpu::StopReason::kExit) << cpu::to_string(engine);
+    EXPECT_EQ(r.exit_status, 42)  // stale block would exit 0
+        << cpu::to_string(engine);
   }
 }
 
@@ -274,12 +256,11 @@ TEST(Superblock, SmcInvalidatesHotSuperblockMidLoop) {
 )";
   std::string prints[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
-    ScopedEngine pin(kAllEngines[e]);
-    Machine m;
+    Machine m(on(kAllEngines[e]));
     m.load_source(source);
     RunReport r = m.run();
-    EXPECT_EQ(r.stop, cpu::StopReason::kExit) << kAllEngines[e];
-    EXPECT_EQ(r.exit_status, 150) << kAllEngines[e];
+    EXPECT_EQ(r.stop, cpu::StopReason::kExit) << name(e);
+    EXPECT_EQ(r.exit_status, 150) << name(e);
     // Under the jit the loop is hot enough to compile before the patch, so
     // the store must also retire the compiled host code.
     prints[e] = fingerprint(m, r);
@@ -295,28 +276,29 @@ TEST(Superblock, SmcInvalidatesHotSuperblockMidLoop) {
 
 TEST(Superblock, SnapshotRestoreBetweenSuperblocksMatchesUninterrupted) {
   auto scenario = make_scenario(AttackId::kExp1Stack);
+  const cpu::Engine engine = cpu::Engine::kSuperblock;
 
-  ScopedEngine pin("superblock");
   // Uninterrupted superblock run.
-  auto whole = scenario->prepare_attack({});
+  auto whole = scenario->prepare_attack({}, engine);
   RunReport rw = whole->run();
 
   // Sliced run: odd run_for() budgets force stops inside superblocks; a
   // snapshot taken at one of those points restores into a fresh machine.
-  auto sliced = scenario->prepare_attack({});
+  auto sliced = scenario->prepare_attack({}, engine);
   sliced->run_for(37);
   sliced->run_for(101);
   MachineSnapshot snap = sliced->snapshot();
 
-  Machine resumed;
+  Machine resumed(on(engine));
   resumed.restore(snap);
   RunReport rr = resumed.run();
   EXPECT_EQ(fingerprint(*whole, rw), fingerprint(resumed, rr));
 
   // And the step and jit engines agree with all of the above.
-  const std::string step = run_scenario(AttackId::kExp1Stack, "step");
+  const std::string step =
+      run_scenario(AttackId::kExp1Stack, cpu::Engine::kStep);
   EXPECT_EQ(step, fingerprint(*whole, rw));
-  EXPECT_EQ(step, run_scenario(AttackId::kExp1Stack, "jit"));
+  EXPECT_EQ(step, run_scenario(AttackId::kExp1Stack, cpu::Engine::kJit));
 }
 
 TEST(Superblock, JitSnapshotRestoreBetweenSlicesMatchesUninterrupted) {
@@ -324,17 +306,17 @@ TEST(Superblock, JitSnapshotRestoreBetweenSlicesMatchesUninterrupted) {
   // snapshot boundary falls while compiled host code is resident, and the
   // restore path must flush translations and host code together.
   auto scenario = make_scenario(AttackId::kExp1Stack);
+  const cpu::Engine engine = cpu::Engine::kJit;
 
-  ScopedEngine pin("jit");
-  auto whole = scenario->prepare_attack({});
+  auto whole = scenario->prepare_attack({}, engine);
   RunReport rw = whole->run();
 
-  auto sliced = scenario->prepare_attack({});
+  auto sliced = scenario->prepare_attack({}, engine);
   sliced->run_for(37);
   sliced->run_for(2000);  // deep enough that hot blocks compiled
   MachineSnapshot snap = sliced->snapshot();
 
-  Machine resumed;
+  Machine resumed(on(engine));
   resumed.restore(snap);
   RunReport rr = resumed.run();
   EXPECT_EQ(fingerprint(*whole, rw), fingerprint(resumed, rr));
@@ -354,37 +336,56 @@ TEST(Superblock, RunForBudgetIsExactMidBlock) {
       xor $t2, $t1, $t0
       j loop
 )";
-  for (const char* engine : kAllEngines) {
-    ScopedEngine pin(engine);
-    Machine m;
+  for (const cpu::Engine engine : kAllEngines) {
+    Machine m(on(engine));
     m.load_source(source);
     m.run_for(1000);
-    EXPECT_EQ(m.report().cpu_stats.instructions, 1000u) << engine;
+    EXPECT_EQ(m.report().cpu_stats.instructions, 1000u)
+        << cpu::to_string(engine);
     m.run_for(1);
-    EXPECT_EQ(m.report().cpu_stats.instructions, 1001u) << engine;
+    EXPECT_EQ(m.report().cpu_stats.instructions, 1001u)
+        << cpu::to_string(engine);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Unsupported-host fallback: requesting the jit on a host that cannot run
-// emitted code must silently select the superblock engine (after a one-line
-// warning) with identical results.  PTAINT_JIT_FORCE_UNSUPPORTED simulates
-// such a host anywhere.
+// emitted code must select the superblock engine (Cpu::set_engine warns
+// once).  The selection is a pure function; the CI leg with
+// PTAINT_JIT_FORCE_UNSUPPORTED=1 runs every Superblock test through the
+// forced fallback end to end.
 
 TEST(Superblock, JitFallsBackToSuperblockWhenUnsupported) {
-  ::setenv("PTAINT_JIT_FORCE_UNSUPPORTED", "1", 1);
-  EXPECT_FALSE(cpu::JitEngine::supported());
-  std::string forced;
-  {
-    ScopedEngine pin("jit");
-    auto machine = make_scenario(AttackId::kExp1Stack)->prepare_attack({});
-    EXPECT_EQ(machine->cpu().engine(), cpu::Engine::kSuperblock);
-    RunReport r = machine->run();
-    EXPECT_EQ(machine->cpu().jit_stats().blocks_compiled, 0u);
-    forced = fingerprint(*machine, r);
+  using cpu::Engine;
+  EXPECT_EQ(cpu::select_engine(Engine::kJit, false), Engine::kSuperblock);
+  EXPECT_EQ(cpu::select_engine(Engine::kJit, true), Engine::kJit);
+  for (const bool supported : {false, true}) {
+    EXPECT_EQ(cpu::select_engine(Engine::kStep, supported), Engine::kStep);
+    EXPECT_EQ(cpu::select_engine(Engine::kSuperblock, supported),
+              Engine::kSuperblock);
   }
-  ::unsetenv("PTAINT_JIT_FORCE_UNSUPPORTED");
-  EXPECT_EQ(forced, run_scenario(AttackId::kExp1Stack, "superblock"));
+}
+
+// ---------------------------------------------------------------------------
+// Factory contract: every scenario and SPEC factory builds its machine on
+// the engine it is handed, whatever the process default is.
+
+TEST(Superblock, FactoriesBuildOnTheRequestedEngine) {
+  for (const cpu::Engine engine : kAllEngines) {
+    // The jit counts as superblock on a host that cannot run emitted code.
+    const cpu::Engine want =
+        cpu::select_engine(engine, cpu::JitEngine::supported());
+    for (const auto& scenario : make_attack_corpus()) {
+      EXPECT_EQ(scenario->prepare_attack({}, engine)->cpu().engine(), want)
+          << scenario->name() << " attack on " << cpu::to_string(engine);
+      EXPECT_EQ(scenario->prepare_benign(engine)->cpu().engine(), want)
+          << scenario->name() << " benign on " << cpu::to_string(engine);
+    }
+    for (const SpecWorkload& w : make_spec_workloads(1)) {
+      EXPECT_EQ(prepare_spec_workload(w, {}, engine)->cpu().engine(), want)
+          << w.name << " on " << cpu::to_string(engine);
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -344,36 +343,15 @@ TEST(Determinism, RepeatRunsAreByteIdentical) {
 
 // ---- golden paper sites as prover witnesses --------------------------------
 
-/// Pins PTAINT_ENGINE for a scope (scenario factories build machines that
-/// resolve the engine from the environment).
-class ScopedEngine {
- public:
-  explicit ScopedEngine(const char* value) {
-    if (const char* old = std::getenv("PTAINT_ENGINE")) saved_ = old;
-    ::setenv("PTAINT_ENGINE", value, 1);
-  }
-  ~ScopedEngine() {
-    if (saved_.empty()) {
-      ::unsetenv("PTAINT_ENGINE");
-    } else {
-      ::setenv("PTAINT_ENGINE", saved_.c_str(), 1);
-    }
-  }
-
- private:
-  std::string saved_;
-};
-
 /// Runs the scenario's attack with gen-2 elision installed on `engine`,
 /// checks the dynamic alert matches the paper's site, and requires the
 /// prover to hold a complete witness trace for exactly that PC.
-void expect_golden_witness(core::AttackId id, const char* engine,
+void expect_golden_witness(core::AttackId id, cpu::Engine engine,
                            const std::string& function,
                            const std::string& disasm_contains) {
-  ScopedEngine pin(engine);
   auto scenario = core::make_scenario(id);
   const cpu::TaintPolicy policy;  // paper defaults (pointer taintedness)
-  auto machine = scenario->prepare_attack(policy);
+  auto machine = scenario->prepare_attack(policy, engine);
   machine->enable_static_elision();  // the gen-2 table
   core::RunReport report = machine->run();
   const core::ScenarioResult r =
@@ -395,22 +373,25 @@ void expect_golden_witness(core::AttackId id, const char* engine,
   EXPECT_NE(w->steps.back().event.find("dereference"), std::string::npos);
 }
 
+constexpr cpu::Engine kStep = cpu::Engine::kStep;
+constexpr cpu::Engine kSuperblock = cpu::Engine::kSuperblock;
+
 TEST(GoldenWitness, Exp1StackJrRaBothEngines) {
-  expect_golden_witness(core::AttackId::kExp1Stack, "step", "exp1", "jr $31");
-  expect_golden_witness(core::AttackId::kExp1Stack, "superblock", "exp1",
+  expect_golden_witness(core::AttackId::kExp1Stack, kStep, "exp1", "jr $31");
+  expect_golden_witness(core::AttackId::kExp1Stack, kSuperblock, "exp1",
                         "jr $31");
 }
 
 TEST(GoldenWitness, Exp2HeapFreeBothEngines) {
-  expect_golden_witness(core::AttackId::kExp2Heap, "step", "free", "($");
-  expect_golden_witness(core::AttackId::kExp2Heap, "superblock", "free",
+  expect_golden_witness(core::AttackId::kExp2Heap, kStep, "free", "($");
+  expect_golden_witness(core::AttackId::kExp2Heap, kSuperblock, "free",
                         "($");
 }
 
 TEST(GoldenWitness, Exp3FormatVfprintfBothEngines) {
-  expect_golden_witness(core::AttackId::kExp3Format, "step", "vfprintf",
+  expect_golden_witness(core::AttackId::kExp3Format, kStep, "vfprintf",
                         "sw $21,0($3)");
-  expect_golden_witness(core::AttackId::kExp3Format, "superblock", "vfprintf",
+  expect_golden_witness(core::AttackId::kExp3Format, kSuperblock, "vfprintf",
                         "sw $21,0($3)");
 }
 

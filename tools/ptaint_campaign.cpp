@@ -39,7 +39,8 @@
 //   1  verdict mismatch under --check, or a --static-check violation
 //   2  at least one job ended in a harness error
 //   3  at least one job timed out (and none harness-errored)
-//   4  usage error (bad campaign name, bad option, unwritable sidecar)
+//   4  usage error (bad campaign name, bad option, malformed PTAINT_*
+//      value, unwritable sidecar)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +54,7 @@
 #include "campaign/campaigns.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
+#include "core/settings.hpp"
 
 using namespace ptaint;
 using namespace ptaint::campaign;
@@ -134,16 +136,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--elide") {
       elide = true;
     } else if (arg == "--engine") {
-      const std::string name = value();
-      if (name == "step") {
-        engine = cpu::Engine::kStep;
-      } else if (name == "superblock") {
-        engine = cpu::Engine::kSuperblock;
-      } else if (name == "jit") {
-        engine = cpu::Engine::kJit;
-      } else {
-        usage();
-      }
+      engine = cpu::parse_engine(value());
+      if (!engine) usage();
     } else if (arg == "--static-check") {
       want_static_check = true;
     } else if (arg == "--time") {
@@ -158,6 +152,8 @@ int main(int argc, char** argv) {
       usage();
     }
   }
+
+  if (!core::settings_valid("ptaint-campaign")) return 4;
 
   std::vector<JobResult> results;
   double engine_s = 0.0, serial_s = 0.0;

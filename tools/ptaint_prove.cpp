@@ -36,6 +36,7 @@
 #include "analysis/summary_cache.hpp"
 #include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
+#include "core/settings.hpp"
 #include "guest/apps/registry.hpp"
 #include "guest/runtime.hpp"
 
@@ -223,6 +224,7 @@ exit codes: 0 all witnesses source-rooted, 1 unexplained witnesses,
     }
   }
   if (sources.empty()) usage();
+  if (!core::settings_valid("ptaint-prove")) return 4;
 
   std::vector<asmgen::Source> units;
   if (with_runtime) units = guest::runtime();

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "core/settings.hpp"
 #include "guest/runtime.hpp"
 
 using namespace ptaint;
@@ -129,7 +130,8 @@ usage: ptaint-run [options] program.s [more.s ...]
   --trace N / --profile / --pipeline
   --listing             print the assembled text segment and exit
   --no-elide            disable static check-elision (check every site)
-  --engine E            step | superblock | jit (default; also PTAINT_ENGINE)
+  --engine E            step | superblock | jit (default superblock,
+                        or PTAINT_ENGINE)
   --engine-stats        block cache, fusion, JIT and clean-page counters
   --max-instr N / --quiet
 exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
@@ -194,16 +196,8 @@ exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
     } else if (arg == "--listing") {
       listing_only = true;
     } else if (arg == "--engine") {
-      const std::string engine = value();
-      if (engine == "step") {
-        cfg.engine = cpu::Engine::kStep;
-      } else if (engine == "superblock") {
-        cfg.engine = cpu::Engine::kSuperblock;
-      } else if (engine == "jit") {
-        cfg.engine = cpu::Engine::kJit;
-      } else {
-        usage();
-      }
+      cfg.engine = cpu::parse_engine(value());
+      if (!cfg.engine) usage();
     } else if (arg == "--engine-stats") {
       engine_stats = true;
     } else if (arg == "--no-elide") {
@@ -218,6 +212,7 @@ exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
     }
   }
   if (sources.empty()) usage();
+  if (!core::settings_valid("ptaint-run")) return 4;
 
   std::vector<asmgen::Source> units;
   if (with_runtime) units = guest::runtime();
@@ -300,10 +295,7 @@ exit codes: 0 clean exit, 1 nonzero guest exit, 2 security alert,
       return static_cast<unsigned long long>(v);
     };
     const cpu::Engine eng = machine.cpu().engine();
-    std::fprintf(stderr, "engine: %s\n",
-                 eng == cpu::Engine::kJit          ? "jit"
-                 : eng == cpu::Engine::kSuperblock ? "superblock"
-                                                   : "step");
+    std::fprintf(stderr, "engine: %s\n", cpu::to_string(eng));
     std::fprintf(stderr,
                  "blocks: %llu cached (%llu translated, %llu invalidated), "
                  "avg %.1f insts/block\n",

@@ -34,6 +34,7 @@
 #include <string>
 #include <thread>
 
+#include "core/settings.hpp"
 #include "serve/server.hpp"
 
 using ptaint::serve::ServeDaemon;
@@ -97,6 +98,7 @@ int main(int argc, char** argv) {
     }
   }
   if (config.socket_path.empty() || config.journal_path.empty()) usage();
+  if (!ptaint::core::settings_valid("ptaint-serve")) return 4;
 
   // SIGINT/SIGTERM are handled synchronously by a dedicated thread (all
   // other threads inherit the blocked mask), so shutdown goes through the
