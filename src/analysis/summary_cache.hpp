@@ -1,30 +1,22 @@
-// Process-wide analysis summary cache.
+// Process-wide analysis summary cache: an exact-content memo.
 //
 // Every consumer of the static results — Machine::apply_static_elision on
 // each boot, the campaign static-check leg, the ptaint-serve shards,
-// ptaint-prove — used to re-run full CFG recovery plus the memory-aware
-// VSA from scratch per program.  This cache memoizes the complete result
-// set (the VSA analysis, the elision table built from it, the leak
-// bitmaps, the recovered block leaders) keyed by program content and
-// policy, and keeps the converged fixpoint so a *mutated* program can be
-// re-analyzed incrementally: only functions whose content hash changed —
-// and their transitive dependents over the call graph — are re-iterated,
-// and the warm result is verified byte-identical to a cold run (see
-// vsa.hpp for the scheme).  The register-only analyzer is not cached: it
-// runs only as gen2_elision's fallback when the VSA exhausts its budget.
+// ptaint-prove — needs the complete result set for a program: the VSA
+// analysis, the elision table built from it, the leak bitmaps and the
+// recovered block leaders.  This cache memoizes that set keyed by program
+// content and policy.  A miss runs exactly what an uncached consumer would:
+// Cfg recovery, one serial analyze_vsa, gen2_elision, block leaders.  The
+// register-only analyzer is not cached: it runs only as gen2_elision's
+// fallback when the VSA exhausts its budget.
 //
-// Hash key.  Each function's local hash covers its text words, its span,
-// its return sites (the caller fingerprint: a new call into a function
-// changes the flows it emits) and the global label fingerprint (label
-// placement decides block structure and indirect-jump fanout).  The
-// chained hash folds in the local hashes of everything the function's
-// facts depend on — callees (summaries compose upward) and functions that
-// flow into it over ordinary cross-function edges — computed bottom-up
-// over the call graph's SCC condensation (Tarjan), so a mutation dirties
-// exactly the changed function plus its transitive dependents (the
-// inverse-call-graph closure).  The policy column and analysis options are
-// hashed alongside: the same program under a different Table 1
-// configuration is a different entry.
+// Key.  The content hash covers the text words, the entry point and the
+// label placement (which shapes the recovered CFG); the data segment is
+// left out, because the analyses never read data bytes.  So campaign
+// payload variants that differ only in their input data hit one entry.
+// The policy column and analysis options are hashed alongside: the same
+// program under a different Table 1 configuration is a different entry.
+// Any text change is a full miss; there is no partial reuse.
 //
 // Memoization defaults to on; PTAINT_ANALYSIS_CACHE=0 turns it off for
 // every cache in the process (the CI identity leg diffs that against cached
@@ -48,22 +40,14 @@ struct CachedAnalysis {
   VsaAnalysis g2;          // memory-aware value-set prover
   Gen2Elision gen2;        // the table Machine ships to the CPU
   std::vector<uint8_t> block_leaders;  // recovered block begins, per inst
-
-  // Warm-base material: the converged fixpoint plus per-function chained
-  // hashes (entry PC -> hash, ascending) to diff a mutated program against.
-  std::shared_ptr<const VsaFixpoint> g2_fp;
-  std::vector<std::pair<uint32_t, uint64_t>> fn_hashes;
 };
 
 struct CacheStats {
   uint64_t lookups = 0;
   uint64_t hits = 0;            // exact content hit, no analysis ran
   uint64_t cold_misses = 0;     // analyzed from scratch
-  uint64_t warm_hits = 0;       // incremental re-analysis
-  uint64_t warm_fallbacks = 0;  // warm attempted, went cold
-  uint64_t invalidated_fns = 0; // dirty functions across warm attempts
   uint64_t evictions = 0;
-  uint64_t analysis_micros = 0; // wall time inside cold + warm analysis
+  uint64_t analysis_micros = 0; // wall time inside analysis
   size_t entries = 0;
 
   /// One flat JSON object for status/--json surfaces.  Timing is opt-out
@@ -72,12 +56,14 @@ struct CacheStats {
 };
 
 /// Thread-safe LRU memoizer.  `analyze` is the single entry point: it
-/// returns the cached result on an exact content hit, attempts incremental
-/// re-analysis against the most recent same-policy entry otherwise, and
-/// falls back to a cold run (parallel when jobs > 1) when identity cannot
-/// be proven.  Concurrent lookups of the same key block on one analysis.
+/// returns the cached result on an exact content hit and analyzes from
+/// scratch otherwise.  Concurrent lookups of the same key block on one
+/// analysis.
 class SummaryCache {
  public:
+  /// LRU entries kept; the least recently used one is evicted beyond it.
+  static constexpr size_t kCapacity = 32;
+
   /// The process-wide instance every consumer shares.
   static SummaryCache& instance();
 
@@ -88,11 +74,6 @@ class SummaryCache {
       const VsaOptions& options = {});
 
   CacheStats stats() const;
-  void clear();
-
-  void set_capacity(size_t cap);  // LRU entries (default 32)
-  void set_jobs(int jobs);        // cold VSA fixpoint threads (default 1)
-  int jobs() const;
 
   /// Memoization on (default: PTAINT_ANALYSIS_CACHE).  When off, analyze()
   /// still computes and returns the same result object, uncached.

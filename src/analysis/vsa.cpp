@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -23,11 +18,7 @@
 #include "os/syscalls.hpp"
 
 namespace ptaint::analysis {
-// Not anonymous: VsaFixpoint (declared in vsa.hpp, defined below) embeds
-// these types, and a header-declared type with anonymous-namespace members
-// would have no valid external linkage (-Wsubobject-linkage).  Everything
-// here is still private to this translation unit by convention.
-namespace vsadetail {
+namespace {
 
 using isa::Instruction;
 using isa::Op;
@@ -317,38 +308,6 @@ struct CallSite {
 // exhaustion every reachable site degrades to "may be tainted" (sound).
 constexpr size_t kMaxBlockRuns = 2'000'000;
 
-}  // namespace vsadetail
-
-/// The converged-fixpoint record declared in vsa.hpp.  Everything is keyed
-/// by PC (block begin, function entry, call pc) rather than by index: a
-/// mutated program reshapes indices, but the clean functions' PCs — which
-/// are all the warm path reads — are stable by construction (the summary
-/// cache only marks a function clean when its text and the global label
-/// layout are unchanged).
-struct VsaFixpoint {
-  std::vector<vsadetail::State> in_state;  // per old-block converged in-state
-  std::vector<uint8_t> has_in;
-  std::vector<uint32_t> block_begin;
-  std::vector<uint32_t> block_end;
-  std::vector<int> block_fn;
-  std::vector<vsadetail::FnInfo> fns;  // per old-function exit + summary
-  std::vector<uint32_t> fn_entry;
-  std::vector<uint32_t> fn_end;
-  std::map<uint32_t, vsadetail::CallSite> call_sites;
-  std::map<int, std::set<uint32_t>> call_pairs;  // old fn idx -> call pcs
-  /// Every cross-*function* flow a reached block emitted at the fixpoint,
-  /// keyed (src block begin, dst block begin), value = the flowed state:
-  /// ordinary edges into another function (degraded), unresolved-jal and
-  /// unpaired-return smashes, and inline-jal exits landing cross-function.
-  /// Call-entry and compose flows are NOT here — they are reconstructed
-  /// from call_sites/fns at warm start.
-  std::map<std::pair<uint32_t, uint32_t>, vsadetail::State> cross_flows;
-  bool exhausted = false;
-  bool warm_ok = true;  // false: record unusable as a warm base
-};
-
-namespace vsadetail {
-
 class VsaEngine {
  public:
   VsaEngine(const Cfg& cfg, const cpu::TaintPolicy& policy)
@@ -382,26 +341,15 @@ class VsaEngine {
     has_in_.assign(nblocks, 0);
     queued_.assign(nblocks, 0);
     fns_.resize(cfg.functions().size());
-    fn_mu_ = std::make_unique<std::mutex[]>(cfg.functions().size() + 1);
   }
 
-  void run(int jobs);
+  void run();
   VsaAnalysis finish(const VsaOptions& options);
-  bool exhausted() const { return exhausted_; }
-  void reset_block_runs() { block_runs_ = 0; }
-
-  // incremental (see VsaFixpoint)
-  std::shared_ptr<const VsaFixpoint> build_record();
-  bool warm_start(const VsaFixpoint& base, const std::vector<uint8_t>& dirty);
-  bool warm_verify(const VsaFixpoint& base);
-  bool set_warm_collect(const std::vector<uint8_t>& dirty_fns,
-                        const VsaAnalysis& base);
 
  private:
   // driver
   void flow_to(int b, const State& s);
   void queue_compose(uint32_t call_pc, int fidx);
-  void worker();
   void process_block(int b);
   void after_block(const BasicBlock& bb, State& s);
   void handle_call(uint32_t call_pc, int caller_fn, int fidx, const State& s);
@@ -411,9 +359,6 @@ class VsaEngine {
   State degrade_for_foreign(const State& s) const;
   static State smash_unknown_call();
   State block_in(int b) const;  // in-state + stack-height degrade preamble
-  std::mutex& mu_of(int fn) {
-    return fn_mu_[fn >= 0 ? static_cast<size_t>(fn) : fns_.size()];
-  }
 
   // transfer (`fn` = function whose frame coords the state is in)
   void record_site(uint32_t pc, const Instruction& inst, const State& s);
@@ -436,9 +381,7 @@ class VsaEngine {
                                   const State& at_call, EventSet* sink);
 
   // fact collection + witnesses
-  void collect_pass(const VsaOptions& options, bool filtered = false);
-  template <typename F>
-  void for_cross_flows(int b, F&& emit);
+  void collect_pass(const VsaOptions& options);
   void build_witnesses(VsaAnalysis& res) const;
   void build_leak_witnesses(VsaAnalysis& res) const;
   WitnessStep render_step(const Event& e) const;
@@ -456,84 +399,34 @@ class VsaEngine {
   // (witness BFS targets).
   std::vector<std::set<uint64_t>> leak_srcs_;
 
-  // Per-block states: in_state_[b]/has_in_[b] are guarded by the block's
-  // function mutex (mu_of) when parallel_.  uint8_t, not bool — adjacent
-  // vector<bool> bits share a byte and would race across functions.
   std::vector<State> in_state_;
   std::vector<uint8_t> has_in_;
 
-  // Work queues, all under wl_mu_.  The serial driver uses the FIFO deque
-  // (preserving the historical iteration order exactly, which matters only
-  // at the block-run budget edge); the parallel driver uses a priority set
-  // ordered by callee-first SCC rank so callee summaries tend to converge
-  // before their callers compose.
+  // FIFO block worklist, drained before the compose queue.  The order
+  // matters only at the block-run budget edge, where it decides whether a
+  // run exhausts.
   std::vector<uint8_t> queued_;
   std::deque<int> worklist_;
-  std::set<std::pair<int, int>> pq_;  // (priority, block)
-  std::vector<int> fn_prio_;
-  bool parallel_ = false;
-  int active_ = 0;  // workers currently processing an item
-  std::mutex wl_mu_;
-  std::condition_variable wl_cv_;
 
-  // fns_[f] (exit + summary) shares f's function mutex with f's blocks.
-  // Lock hierarchy: mu_of(fn) -> inter_mu_ -> wl_mu_; never two function
-  // mutexes at once (compose copies the callee FnInfo out first).
-  std::vector<FnInfo> fns_;
-  std::unique_ptr<std::mutex[]> fn_mu_;  // one per function + one for fn<0
+  std::vector<FnInfo> fns_;  // per function: exit state + caller-writes
 
-  // Interprocedural records, under inter_mu_.
   std::map<uint32_t, CallSite> call_sites_;        // call pc -> site record
   std::map<int, std::set<uint32_t>> call_pairs_;   // fidx -> calling pcs
   std::map<int, std::optional<std::vector<int>>> inline_plans_;
-  std::mutex inter_mu_;
 
-  std::deque<std::pair<uint32_t, int>> compose_q_;  // under wl_mu_
+  std::deque<std::pair<uint32_t, int>> compose_q_;
   std::set<std::pair<uint32_t, int>> compose_queued_;
 
   EventSet events_;
   EventSet aprov_events_;  // address-provenance flows (leak witnesses)
-  std::atomic<size_t> block_runs_{0};
-  std::atomic<bool> exhausted_{false};
-
-  // Warm-run state.  Clean blocks/functions are preloaded and must never
-  // change; any flow that would change one sets warm_failed_.
-  bool warm_ = false;
-  std::atomic<bool> warm_failed_{false};
-  std::vector<uint8_t> block_dirty_;
-  std::vector<std::pair<uint32_t, uint32_t>> clean_spans_;  // sorted
+  size_t block_runs_ = 0;
+  bool exhausted_ = false;
 
   // Site/leak facts are recorded only during collect_pass (replay from the
   // converged states): the transfer is monotone, so the facts a site joins
   // over every iteration visit equal the facts its final in-state yields.
-  // This is what makes iteration order — serial, parallel, or warm — and
-  // visit counts irrelevant to the collected verdicts.
+  // This is what makes visit counts irrelevant to the collected verdicts.
   bool collecting_ = false;
-
-  // Incremental collection (set_warm_collect): collect_pass replays only
-  // `replay_block_` members; sites of `splice_fn_` functions copy their
-  // facts from `splice_base_` afterwards.  Witness runs never filter.
-  // `warm_base_` (set on successful warm_start) additionally lets
-  // build_record splice clean-source cross flows instead of replaying them.
-  const VsaFixpoint* warm_base_ = nullptr;
-  const VsaAnalysis* splice_base_ = nullptr;
-  std::vector<uint8_t> replay_block_;
-  std::vector<uint8_t> splice_fn_;
-  // Spans [entry, end) of the splice_fn_ functions, ascending; the splice
-  // copy in finish() is a linear lockstep walk over these and the
-  // (PC-ascending) site vectors.
-  std::vector<std::pair<uint32_t, uint32_t>> splice_spans_;
-
-  bool clean_pc(uint32_t pc) const {
-    auto it = std::upper_bound(
-        clean_spans_.begin(), clean_spans_.end(), pc,
-        [](uint32_t p, const std::pair<uint32_t, uint32_t>& sp) {
-          return p < sp.first;
-        });
-    if (it == clean_spans_.begin()) return false;
-    --it;
-    return pc >= it->first && pc < it->second;
-  }
 };
 
 // ---- transfer --------------------------------------------------------------
@@ -1278,49 +1171,34 @@ void VsaEngine::transfer(uint32_t pc, const Instruction& inst, State& s,
 
 void VsaEngine::summary_write(int fn, int32_t off, AbsVal v) {
   if (fn < 0 || off < 0) return;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fn));
-    FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
-    auto it = sum.caller_writes.find(off);
-    const AbsVal nv = it == sum.caller_writes.end() ? v : join(it->second, v);
-    if (it == sum.caller_writes.end() || nv != it->second) {
-      sum.caller_writes[off] = nv;
-      changed = true;
-    }
+  FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
+  auto it = sum.caller_writes.find(off);
+  const AbsVal nv = it == sum.caller_writes.end() ? v : join(it->second, v);
+  if (it == sum.caller_writes.end() || nv != it->second) {
+    sum.caller_writes[off] = nv;
+    summary_changed(fn);
   }
-  if (changed) summary_changed(fn);
 }
 
 void VsaEngine::summary_unknown_write(int fn, Taint t, mem::TaintBits aprov) {
   if (fn < 0) return;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fn));
-    FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
-    const Taint nt = join(sum.unknown_taint, t);
-    const mem::TaintBits na =
-        static_cast<mem::TaintBits>(sum.unknown_aprov | aprov);
-    if (!sum.unknown_write || nt != sum.unknown_taint ||
-        na != sum.unknown_aprov) {
-      sum.unknown_write = true;
-      sum.unknown_taint = nt;
-      sum.unknown_aprov = na;
-      changed = true;
-    }
+  FnSummary& sum = fns_[static_cast<size_t>(fn)].summary;
+  const Taint nt = join(sum.unknown_taint, t);
+  const mem::TaintBits na =
+      static_cast<mem::TaintBits>(sum.unknown_aprov | aprov);
+  if (!sum.unknown_write || nt != sum.unknown_taint ||
+      na != sum.unknown_aprov) {
+    sum.unknown_write = true;
+    sum.unknown_taint = nt;
+    sum.unknown_aprov = na;
+    summary_changed(fn);
   }
-  if (changed) summary_changed(fn);
 }
 
 void VsaEngine::summary_changed(int fidx) {
-  std::vector<uint32_t> pcs;
-  {
-    std::lock_guard<std::mutex> lk(inter_mu_);
-    auto it = call_pairs_.find(fidx);
-    if (it == call_pairs_.end()) return;
-    pcs.assign(it->second.begin(), it->second.end());
-  }
-  for (uint32_t call_pc : pcs) queue_compose(call_pc, fidx);
+  auto it = call_pairs_.find(fidx);
+  if (it == call_pairs_.end()) return;
+  for (uint32_t call_pc : it->second) queue_compose(call_pc, fidx);
 }
 
 // ---- interprocedural driver ------------------------------------------------
@@ -1328,49 +1206,23 @@ void VsaEngine::summary_changed(int fidx) {
 void VsaEngine::flow_to(int b, const State& s) {
   if (b < 0) return;
   const auto ub = static_cast<size_t>(b);
-  const int bfn = cfg_.blocks()[ub].function;
-  if (warm_ && block_dirty_[ub] == 0) {
-    // A preloaded clean block: its converged in-state must already absorb
-    // this flow, or the warm run cannot reproduce the cold result.
-    std::lock_guard<std::mutex> lk(mu_of(bfn));
-    if (has_in_[ub] == 0 || !(join_states(in_state_[ub], s) == in_state_[ub])) {
-      warm_failed_ = true;
-    }
-    return;  // clean blocks are never re-iterated
+  if (has_in_[ub] == 0) {
+    in_state_[ub] = s;
+    has_in_[ub] = 1;
+  } else {
+    State j = join_states(in_state_[ub], s);
+    if (j == in_state_[ub]) return;
+    in_state_[ub] = std::move(j);
   }
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(bfn));
-    if (has_in_[ub] == 0) {
-      in_state_[ub] = s;
-      has_in_[ub] = 1;
-      changed = true;
-    } else {
-      State j = join_states(in_state_[ub], s);
-      changed = !(j == in_state_[ub]);
-      in_state_[ub] = std::move(j);
-    }
-  }
-  if (!changed) return;
-  std::lock_guard<std::mutex> lk(wl_mu_);
   if (queued_[ub] == 0) {
     queued_[ub] = 1;
-    if (parallel_) {
-      pq_.insert({bfn >= 0 ? fn_prio_[static_cast<size_t>(bfn)]
-                           : static_cast<int>(fn_prio_.size()),
-                  b});
-    } else {
-      worklist_.push_back(b);
-    }
-    wl_cv_.notify_one();
+    worklist_.push_back(b);
   }
 }
 
 void VsaEngine::queue_compose(uint32_t call_pc, int fidx) {
-  std::lock_guard<std::mutex> lk(wl_mu_);
   if (compose_queued_.insert({call_pc, fidx}).second) {
     compose_q_.push_back({call_pc, fidx});
-    wl_cv_.notify_one();
   }
 }
 
@@ -1423,64 +1275,48 @@ State VsaEngine::make_entry(const CallSite& cs) const {
 
 void VsaEngine::handle_call(uint32_t call_pc, int caller_fn, int fidx,
                             const State& s) {
-  CallSite snap;
-  {
-    std::lock_guard<std::mutex> lk(inter_mu_);
-    CallSite& cs = call_sites_[call_pc];
-    std::optional<int32_t> d;
-    if (s.reg(isa::kSp).vs.is_stack_rel()) d = s.reg(isa::kSp).vs.value;
-    if (!cs.seen) {
-      cs.seen = true;
-      cs.state = s;
-      cs.caller_fn = caller_fn;
-      cs.d_known = d.has_value();
-      cs.d = d.value_or(0);
-    } else {
-      cs.state = join_states(cs.state, s);
-      if (cs.d_known && (!d.has_value() || *d != cs.d)) cs.d_known = false;
-    }
-    call_pairs_[fidx].insert(call_pc);
-    snap = cs;
+  CallSite& cs = call_sites_[call_pc];
+  std::optional<int32_t> d;
+  if (s.reg(isa::kSp).vs.is_stack_rel()) d = s.reg(isa::kSp).vs.value;
+  if (!cs.seen) {
+    cs.seen = true;
+    cs.state = s;
+    cs.caller_fn = caller_fn;
+    cs.d_known = d.has_value();
+    cs.d = d.value_or(0);
+  } else {
+    cs.state = join_states(cs.state, s);
+    if (cs.d_known && (!d.has_value() || *d != cs.d)) cs.d_known = false;
   }
+  call_pairs_[fidx].insert(call_pc);
   const int eb = cfg_.block_at(cfg_.functions()[static_cast<size_t>(fidx)]
                                    .entry);
-  if (eb >= 0) flow_to(eb, make_entry(snap));
+  if (eb >= 0) flow_to(eb, make_entry(cs));
   queue_compose(call_pc, fidx);
 }
 
 void VsaEngine::capture_exit(int fidx, const State& s) {
   State e = s;
   e.stack.clear();  // caller-frame effects travel via the summary instead
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fidx));
-    FnInfo& fn = fns_[static_cast<size_t>(fidx)];
-    if (!fn.has_exit) {
-      fn.exit = std::move(e);
-      fn.has_exit = true;
-      changed = true;
-    } else {
-      State j = join_states(fn.exit, e);
-      changed = !(j == fn.exit);
-      fn.exit = std::move(j);
-    }
+  FnInfo& fn = fns_[static_cast<size_t>(fidx)];
+  if (!fn.has_exit) {
+    fn.exit = std::move(e);
+    fn.has_exit = true;
+  } else {
+    State j = join_states(fn.exit, e);
+    if (j == fn.exit) return;
+    fn.exit = std::move(j);
   }
-  if (changed) summary_changed(fidx);  // recompose every caller
+  summary_changed(fidx);  // recompose every caller
 }
 
 void VsaEngine::compose(uint32_t call_pc, int fidx) {
-  CallSite cs;
-  {
-    std::lock_guard<std::mutex> lk(inter_mu_);
-    auto csit = call_sites_.find(call_pc);
-    if (csit == call_sites_.end()) return;
-    cs = csit->second;
-  }
-  FnInfo fn;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(fidx));
-    fn = fns_[static_cast<size_t>(fidx)];
-  }
+  auto csit = call_sites_.find(call_pc);
+  if (csit == call_sites_.end()) return;
+  const CallSite& cs = csit->second;
+  // A copy: absorbing the callee's effects below may grow the caller's
+  // summary, which is this very record for a recursive call.
+  const FnInfo fn = fns_[static_cast<size_t>(fidx)];
   if (!fn.has_exit) return;  // callee (so far) never returns
 
   State r;
@@ -1586,8 +1422,7 @@ std::optional<std::vector<int>> VsaEngine::compute_inline_plan(
 
 const std::vector<int>* VsaEngine::inline_plan(int fidx) {
   // The memoized plan vector is stable once inserted (node-based map), so
-  // the returned pointer stays valid after the lock drops.
-  std::lock_guard<std::mutex> lk(inter_mu_);
+  // the returned pointer stays valid while later plans are added.
   auto it = inline_plans_.find(fidx);
   if (it == inline_plans_.end()) {
     it = inline_plans_.emplace(fidx, compute_inline_plan(fidx)).first;
@@ -1690,11 +1525,7 @@ State VsaEngine::block_in(int b) const {
 
 void VsaEngine::process_block(int b) {
   const BasicBlock& bb = cfg_.blocks()[static_cast<size_t>(b)];
-  State s;
-  {
-    std::lock_guard<std::mutex> lk(mu_of(bb.function));
-    s = block_in(b);
-  }
+  State s = block_in(b);
   bool dead = false;
   for (uint32_t pc = bb.begin; pc < bb.end; pc += 4) {
     const Instruction& inst = cfg_.inst_at(pc);
@@ -1766,115 +1597,9 @@ void VsaEngine::after_block(const BasicBlock& bb, State& s) {
   }
 }
 
-// Bottom-up priorities over the recovered call graph: iterative Tarjan pops
-// an SCC only after every SCC it can reach, so the pop order ranks callees
-// before their callers.  Purely a scheduling heuristic — the least fixpoint
-// is unique regardless — but it means a callee's exit/summary is usually
-// converged by the time a caller composes, minimizing recomposition.
-std::vector<int> callee_first_priorities(const Cfg& cfg) {
-  const auto& fns = cfg.functions();
-  const int n = static_cast<int>(fns.size());
-  std::vector<int> prio(static_cast<size_t>(n), 0);
-  std::vector<int> index(static_cast<size_t>(n), -1);
-  std::vector<int> low(static_cast<size_t>(n), 0);
-  std::vector<uint8_t> onstack(static_cast<size_t>(n), 0);
-  std::vector<int> stack;
-  int next_index = 0;
-  int next_prio = 0;
-  struct Frame {
-    int v;
-    size_t ci;
-  };
-  std::vector<Frame> dfs;
-  for (int root = 0; root < n; ++root) {
-    if (index[static_cast<size_t>(root)] != -1) continue;
-    index[static_cast<size_t>(root)] = low[static_cast<size_t>(root)] =
-        next_index++;
-    stack.push_back(root);
-    onstack[static_cast<size_t>(root)] = 1;
-    dfs.push_back({root, 0});
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      const auto& callees = fns[static_cast<size_t>(f.v)].callees;
-      if (f.ci < callees.size()) {
-        const int w = callees[f.ci++];
-        if (w < 0 || w >= n) continue;
-        if (index[static_cast<size_t>(w)] == -1) {
-          index[static_cast<size_t>(w)] = low[static_cast<size_t>(w)] =
-              next_index++;
-          stack.push_back(w);
-          onstack[static_cast<size_t>(w)] = 1;
-          dfs.push_back({w, 0});
-        } else if (onstack[static_cast<size_t>(w)] != 0) {
-          low[static_cast<size_t>(f.v)] = std::min(
-              low[static_cast<size_t>(f.v)], index[static_cast<size_t>(w)]);
-        }
-      } else {
-        if (low[static_cast<size_t>(f.v)] == index[static_cast<size_t>(f.v)]) {
-          for (;;) {
-            const int w = stack.back();
-            stack.pop_back();
-            onstack[static_cast<size_t>(w)] = 0;
-            prio[static_cast<size_t>(w)] = next_prio;
-            if (w == f.v) break;
-          }
-          ++next_prio;
-        }
-        const int v = f.v;
-        dfs.pop_back();
-        if (!dfs.empty()) {
-          low[static_cast<size_t>(dfs.back().v)] =
-              std::min(low[static_cast<size_t>(dfs.back().v)],
-                       low[static_cast<size_t>(v)]);
-        }
-      }
-    }
-  }
-  return prio;
-}
-
-void VsaEngine::worker() {
-  std::unique_lock<std::mutex> lk(wl_mu_);
-  for (;;) {
-    if (exhausted_ || warm_failed_) break;
-    if (!pq_.empty()) {
-      const int b = pq_.begin()->second;
-      pq_.erase(pq_.begin());
-      queued_[static_cast<size_t>(b)] = 0;
-      ++active_;
-      lk.unlock();
-      if (++block_runs_ > kMaxBlockRuns) exhausted_ = true;
-      else process_block(b);
-      lk.lock();
-      --active_;
-    } else if (!compose_q_.empty()) {
-      const auto [call_pc, fidx] = compose_q_.front();
-      compose_q_.pop_front();
-      compose_queued_.erase({call_pc, fidx});
-      ++active_;
-      lk.unlock();
-      compose(call_pc, fidx);
-      lk.lock();
-      --active_;
-    } else if (active_ == 0) {
-      break;  // no work anywhere and nobody can produce more
-    } else {
-      wl_cv_.wait(lk);
-      continue;
-    }
-    if (pq_.empty() && compose_q_.empty() && active_ == 0) {
-      wl_cv_.notify_all();  // wake idlers so they observe completion
-    }
-  }
-  lk.unlock();
-  wl_cv_.notify_all();  // exhaustion/abort: release everyone
-}
-
-void VsaEngine::run(int jobs) {
+void VsaEngine::run() {
   const int entry = cfg_.block_at(cfg_.program().entry);
   if (entry < 0) return;
-  parallel_ = jobs > 1 && !warm_;  // warm runs are small; keep them ordered
-  if (parallel_) fn_prio_ = callee_first_priorities(cfg_);
   State boot;
   // The initial $sp is the root of stack address provenance (mirrors the
   // dynamic loader seed).
@@ -1882,17 +1607,8 @@ void VsaEngine::run(int jobs) {
                           mem::kStackAddrMask});
   flow_to(entry, boot);
 
-  if (parallel_) {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(jobs));
-    for (int i = 0; i < jobs; ++i) pool.emplace_back([this] { worker(); });
-    for (std::thread& t : pool) t.join();
-    parallel_ = false;
-    return;
-  }
-
   while (!worklist_.empty() || !compose_q_.empty()) {
-    if (exhausted_ || warm_failed_) break;
+    if (exhausted_) break;
     if (!worklist_.empty()) {
       const int b = worklist_.front();
       worklist_.pop_front();
@@ -1927,11 +1643,10 @@ void VsaEngine::run(int jobs) {
 //      NOT apply the preamble; keeping it separate keeps witness text
 //      byte-identical on the (pathological) blocks where the lint heights
 //      and the value-set disagree about $sp.
-void VsaEngine::collect_pass(const VsaOptions& options, bool filtered) {
+void VsaEngine::collect_pass(const VsaOptions& options) {
   collecting_ = true;
   for (size_t b = 0; b < has_in_.size(); ++b) {
     if (has_in_[b] == 0) continue;
-    if (filtered && replay_block_[b] == 0) continue;
     const BasicBlock& bb = cfg_.blocks()[b];
     State s = block_in(static_cast<int>(b));
     bool dead = false;
@@ -1976,448 +1691,6 @@ void VsaEngine::collect_pass(const VsaOptions& options, bool filtered) {
       }
     }
   }
-}
-
-// ---- incremental machinery --------------------------------------------------
-
-// Invokes `emit(dst_block, state)` for every cross-*function* flow block
-// `b` sends at the converged fixpoint: ordinary edges into another
-// function, unresolved-jal and unpaired-return smashes, and inline-jal
-// exits landing cross-function.  Call-entry and compose flows are excluded
-// (reconstructed from call_sites_/fns_ instead).  Mirrors after_block
-// exactly; the replay runs from the degraded in-state, like process_block.
-template <typename F>
-void VsaEngine::for_cross_flows(int b, F&& emit) {
-  const auto& blocks = cfg_.blocks();
-  const BasicBlock& bb = blocks[static_cast<size_t>(b)];
-  const Instruction& last = cfg_.inst_at(bb.end - 4);
-
-  // Cheap pre-screen: most blocks flow only inside their own function.
-  bool may_emit = false;
-  if (last.op == Op::kJal) {
-    const int fidx =
-        bb.call_succs.empty()
-            ? -1
-            : blocks[static_cast<size_t>(bb.call_succs[0])].function;
-    if (fidx < 0 || inline_plan(fidx) != nullptr) {
-      const int cont = cfg_.block_at(bb.end);
-      may_emit = cont >= 0 &&
-                 blocks[static_cast<size_t>(cont)].function != bb.function;
-    }
-  } else if (last.op == Op::kJalr) {
-    may_emit = false;  // call edges only; compose covers the continuation
-  } else if (bb.returns) {
-    may_emit = bb.function < 0 && !bb.succs.empty();
-  } else {
-    for (int succ : bb.succs) {
-      if (succ >= 0 &&
-          blocks[static_cast<size_t>(succ)].function != bb.function) {
-        may_emit = true;
-        break;
-      }
-    }
-  }
-  if (!may_emit) return;
-
-  State s = block_in(b);
-  bool dead = false;
-  for (uint32_t pc = bb.begin; pc < bb.end; pc += 4) {
-    transfer(pc, cfg_.inst_at(pc), s, nullptr, dead, bb.function);
-    if (dead) return;
-  }
-  if (last.op == Op::kJal) {
-    const int fidx =
-        bb.call_succs.empty()
-            ? -1
-            : blocks[static_cast<size_t>(bb.call_succs[0])].function;
-    const int cont = cfg_.block_at(bb.end);
-    if (cont < 0 || blocks[static_cast<size_t>(cont)].function == bb.function)
-      return;
-    if (fidx >= 0) {
-      std::optional<State> exit = run_inline(fidx, bb.function, s, nullptr);
-      if (exit.has_value()) emit(cont, *exit);
-    } else {
-      emit(cont, smash_unknown_call());
-    }
-    return;
-  }
-  if (bb.returns) {  // bb.function < 0 (screened above)
-    for (int succ : bb.succs) {
-      if (succ >= 0) emit(succ, smash_unknown_call());
-    }
-    return;
-  }
-  for (int succ : bb.succs) {
-    if (succ >= 0 &&
-        blocks[static_cast<size_t>(succ)].function != bb.function) {
-      emit(succ, degrade_for_foreign(s));
-    }
-  }
-}
-
-std::shared_ptr<const VsaFixpoint> VsaEngine::build_record() {
-  auto fp = std::make_shared<VsaFixpoint>();
-  fp->exhausted = exhausted_;
-  if (exhausted_) {
-    fp->warm_ok = false;  // degraded facts are not a reusable fixpoint
-    return fp;
-  }
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-  fp->block_begin.reserve(blocks.size());
-  fp->block_end.reserve(blocks.size());
-  fp->block_fn.reserve(blocks.size());
-  for (const BasicBlock& bb : blocks) {
-    fp->block_begin.push_back(bb.begin);
-    fp->block_end.push_back(bb.end);
-    fp->block_fn.push_back(bb.function);
-  }
-  fp->fn_entry.reserve(fns.size());
-  fp->fn_end.reserve(fns.size());
-  for (const Function& f : fns) {
-    fp->fn_entry.push_back(f.entry);
-    fp->fn_end.push_back(f.end);
-  }
-  // The cross-flow replay burns block-run budget through leaf inlining;
-  // shield the analysis-visible counter and treat replay exhaustion (never
-  // seen in practice — the fixpoint already converged) as record-unusable.
-  const size_t saved = block_runs_;
-  block_runs_ = 0;
-  // On a verified warm run a clean block's replay is deterministic over
-  // unchanged text from an unchanged in-state, and warm_start proved every
-  // recorded clean-source flow's destination PC still starts a block — so
-  // the base record's clean-source entries ARE what the replay would emit;
-  // copy them and replay only the dirty sources.
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (has_in_[b] == 0) continue;
-    if (warm_base_ != nullptr && block_dirty_[b] == 0) continue;
-    for_cross_flows(static_cast<int>(b), [&](int dst, const State& s) {
-      const std::pair<uint32_t, uint32_t> key{
-          blocks[b].begin, blocks[static_cast<size_t>(dst)].begin};
-      auto it = fp->cross_flows.find(key);
-      if (it == fp->cross_flows.end()) fp->cross_flows.emplace(key, s);
-      else it->second = join_states(it->second, s);
-    });
-  }
-  if (warm_base_ != nullptr) {
-    for (const auto& [key, s] : warm_base_->cross_flows) {
-      if (clean_pc(key.first)) fp->cross_flows.emplace(key, s);
-    }
-  }
-  if (exhausted_) {
-    fp->warm_ok = false;
-    exhausted_ = false;
-  }
-  block_runs_ = saved;
-  // Last step: build_record consumes the engine (both callers destroy it
-  // right after), so the converged states move into the record instead of
-  // copying — the dominant cost of recording on the warm path.
-  fp->in_state = std::move(in_state_);
-  fp->has_in = has_in_;
-  fp->fns = std::move(fns_);
-  fp->call_sites = std::move(call_sites_);
-  fp->call_pairs = std::move(call_pairs_);
-  return fp;
-}
-
-bool VsaEngine::warm_start(const VsaFixpoint& base,
-                           const std::vector<uint8_t>& dirty) {
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-  if (!base.warm_ok || base.exhausted) return false;
-  if (dirty.size() != fns.size() || blocks.empty()) return false;
-  size_t n_dirty = 0;
-  for (uint8_t d : dirty) n_dirty += d != 0 ? 1 : 0;
-  if (n_dirty == 0 || n_dirty == fns.size()) return false;  // nothing to gain
-
-  clean_spans_.clear();
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty[f] == 0) clean_spans_.emplace_back(fns[f].entry, fns[f].end);
-  }
-  std::sort(clean_spans_.begin(), clean_spans_.end());
-
-  // Map each clean new function to its old index; the span must exist
-  // verbatim in the record.  fn_entry is ascending (recorded in function
-  // order), so the lookup is a binary search.
-  const auto old_fn_at = [&](uint32_t entry) -> int {
-    auto it = std::lower_bound(base.fn_entry.begin(), base.fn_entry.end(),
-                               entry);
-    if (it == base.fn_entry.end() || *it != entry) return -1;
-    return static_cast<int>(it - base.fn_entry.begin());
-  };
-  std::vector<int> old_fn_of(fns.size(), -1);
-  std::map<int, int> new_fn_of_old;
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty[f] != 0) continue;
-    const int ofi = old_fn_at(fns[f].entry);
-    if (ofi < 0 || base.fn_end[static_cast<size_t>(ofi)] != fns[f].end) {
-      return false;
-    }
-    old_fn_of[f] = ofi;
-    new_fn_of_old[ofi] = static_cast<int>(f);
-  }
-
-  // Blocks outside any recovered function never carry a content hash, so
-  // they are always re-iterated (dirty).
-  block_dirty_.assign(blocks.size(), 1);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int f = blocks[b].function;
-    if (f >= 0 && dirty[static_cast<size_t>(f)] == 0) block_dirty_[b] = 0;
-  }
-
-  // Preload clean blocks: same begin PC must name the same-shaped block.
-  // block_begin is ascending (blocks are recorded in address order).
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (block_dirty_[b] != 0) continue;
-    auto it = std::lower_bound(base.block_begin.begin(),
-                               base.block_begin.end(), blocks[b].begin);
-    if (it == base.block_begin.end() || *it != blocks[b].begin) return false;
-    const size_t ob = static_cast<size_t>(it - base.block_begin.begin());
-    if (base.block_end[ob] != blocks[b].end) return false;
-    in_state_[b] = base.in_state[ob];
-    has_in_[b] = base.has_in[ob];
-  }
-  // Preload clean functions' exit/summary records.
-  for (size_t f = 0; f < fns.size(); ++f) {
-    if (dirty[f] == 0) fns_[f] = base.fns[static_cast<size_t>(old_fn_of[f])];
-  }
-  // Preload call sites and call pairs at clean PCs, remapping function
-  // indices old -> new.  The summary cache dirties every transitive caller
-  // of a changed function, so a clean caller can never call a dirty callee;
-  // verify that invariant rather than assume it.
-  for (const auto& [pc, cs] : base.call_sites) {
-    if (!clean_pc(pc)) continue;
-    CallSite c = cs;
-    if (c.caller_fn >= 0) {
-      auto it = new_fn_of_old.find(c.caller_fn);
-      if (it == new_fn_of_old.end()) return false;
-      c.caller_fn = it->second;
-    }
-    call_sites_.emplace(pc, std::move(c));
-  }
-  for (const auto& [ofidx, pcs] : base.call_pairs) {
-    for (uint32_t pc : pcs) {
-      if (!clean_pc(pc)) continue;
-      auto it = new_fn_of_old.find(ofidx);
-      if (it == new_fn_of_old.end()) return false;  // clean pc calls dirty fn
-      call_pairs_[it->second].insert(pc);
-    }
-  }
-
-  warm_ = true;
-  warm_base_ = &base;
-
-  // Seed the dirty region with everything the clean region contributed at
-  // the old fixpoint.  (a) Recorded clean->dirty cross flows; a clean
-  // block's successor PCs are branch targets inside its unchanged text, so
-  // each must resolve to a block starting at that exact PC — anything else
-  // means the record does not transfer, and silently dropping a seed would
-  // under-approximate (the one failure verification could not catch).
-  for (const auto& [key, s] : base.cross_flows) {
-    const auto& [src, dst] = key;
-    if (!clean_pc(src)) continue;
-    const int nb = cfg_.block_at(dst);
-    if (nb < 0 || blocks[static_cast<size_t>(nb)].begin != dst) return false;
-    if (block_dirty_[static_cast<size_t>(nb)] != 0) flow_to(nb, s);
-  }
-  // (b) Clean call sites whose continuation block is dirty (cross-function
-  // continuation): recompose so the return state flows in.
-  for (const auto& [nfidx, pcs] : call_pairs_) {
-    for (uint32_t pc : pcs) {
-      const int cont = cfg_.block_at(pc + 4);
-      if (cont >= 0 && block_dirty_[static_cast<size_t>(cont)] != 0) {
-        queue_compose(pc, nfidx);
-      }
-    }
-  }
-  return !warm_failed_;
-}
-
-bool VsaEngine::warm_verify(const VsaFixpoint& base) {
-  if (warm_failed_ || exhausted_) return false;
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-
-  // V1: call sites at dirty PCs must have reconverged to exactly the
-  // recorded sites — same PC set, same joined state, same frame delta,
-  // same caller (compared by entry PC across the index remap).
-  {
-    auto dirty_pc = [&](uint32_t pc) { return !clean_pc(pc); };
-    auto oit = base.call_sites.begin();
-    auto nit = call_sites_.begin();
-    for (;;) {
-      while (oit != base.call_sites.end() && !dirty_pc(oit->first)) ++oit;
-      while (nit != call_sites_.end() && !dirty_pc(nit->first)) ++nit;
-      const bool oend = oit == base.call_sites.end();
-      const bool nend = nit == call_sites_.end();
-      if (oend != nend) return false;
-      if (oend) break;
-      if (oit->first != nit->first) return false;
-      const CallSite& oc = oit->second;
-      const CallSite& nc = nit->second;
-      if (oc.seen != nc.seen || oc.d_known != nc.d_known ||
-          (oc.d_known && oc.d != nc.d) || !(oc.state == nc.state)) {
-        return false;
-      }
-      const uint32_t oe =
-          oc.caller_fn >= 0 ? base.fn_entry[static_cast<size_t>(oc.caller_fn)]
-                            : 0xffffffffu;
-      const uint32_t ne =
-          nc.caller_fn >= 0 ? fns[static_cast<size_t>(nc.caller_fn)].entry
-                            : 0xffffffffu;
-      if (oe != ne) return false;
-      // A dirty call returning into a *clean* continuation block would
-      // recompose state into the preloaded region; equality of the call
-      // site alone does not prove the compose result reconverged.  Rare
-      // (cross-function continuation) — take the cold path.
-      const int cont = cfg_.block_at(oit->first + 4);
-      if (cont >= 0 && block_dirty_[static_cast<size_t>(cont)] == 0) {
-        return false;
-      }
-      ++oit;
-      ++nit;
-    }
-  }
-
-  // V2: the dirty region's joined contribution into every clean block must
-  // equal the recorded one.  Joins are not subtractable, so per-destination
-  // join equality (old vs fresh replay) is the sufficient condition.
-  std::map<uint32_t, State> j_old;
-  for (const auto& [key, s] : base.cross_flows) {
-    const auto& [src, dst] = key;
-    if (clean_pc(src) || !clean_pc(dst)) continue;
-    auto it = j_old.find(dst);
-    if (it == j_old.end()) j_old.emplace(dst, s);
-    else it->second = join_states(it->second, s);
-  }
-  std::map<uint32_t, State> j_new;
-  const size_t saved = block_runs_;
-  block_runs_ = 0;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (has_in_[b] == 0 || block_dirty_[b] == 0) continue;
-    for_cross_flows(static_cast<int>(b), [&](int dst, const State& s) {
-      const uint32_t dp = blocks[static_cast<size_t>(dst)].begin;
-      if (!clean_pc(dp)) return;
-      auto it = j_new.find(dp);
-      if (it == j_new.end()) j_new.emplace(dp, s);
-      else it->second = join_states(it->second, s);
-    });
-  }
-  const bool replay_exhausted = exhausted_;
-  exhausted_ = false;
-  block_runs_ = saved;
-  if (replay_exhausted) return false;
-  return j_old == j_new;
-}
-
-// Prepares the filtered fact sweep: decides which blocks collect_pass must
-// replay and which functions' site facts can be copied ("spliced") from the
-// base analysis instead.
-//
-// Splicing a function f is sound when (a) its converged states and text are
-// identical to the recorded run's — exactly what the warm verification
-// proved for every clean function — AND (b) no replayed block's inline-jal
-// reaches f.  (b) matters because a site inside an inlined callee
-// accumulates facts from *every* inline caller's run_inline replay: replay
-// one caller without the others and the join is partial.  So any function
-// inline-called from a replayed block must be fully re-collected — its own
-// reached blocks and every block that inline-calls it replay too
-// (`recollect`, closed over nested inline calls; plans are currently
-// leaf-only, so the closure is depth-1 in practice).
-//
-// Replayed blocks inside spliced functions are harmless: the splice in
-// finish() overwrites, not joins.  Returns false (caller keeps the full
-// sweep) when any spliced site lacks a recorded counterpart in `base`.
-bool VsaEngine::set_warm_collect(const std::vector<uint8_t>& dirty_fns,
-                                 const VsaAnalysis& base) {
-  const auto& blocks = cfg_.blocks();
-  const auto& fns = cfg_.functions();
-  if (dirty_fns.size() != fns.size()) return false;
-
-  // Inline-call edges at the fixpoint: block b ends in an inlinable jal to
-  // function g.  Orphan callers (bb.function < 0) need no special case —
-  // orphan blocks are always block_dirty_, so their targets seed below.
-  std::vector<int> inline_target(blocks.size(), -1);
-  std::vector<std::vector<int>> inline_out(fns.size());  // caller fn -> g
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (has_in_[b] == 0) continue;
-    const BasicBlock& bb = blocks[b];
-    const Instruction& last = cfg_.inst_at(bb.end - 4);
-    if (last.op != Op::kJal || bb.call_succs.empty()) continue;
-    const int g = blocks[static_cast<size_t>(bb.call_succs[0])].function;
-    if (g < 0 || inline_plan(g) == nullptr) continue;
-    inline_target[b] = g;
-    if (bb.function >= 0) {
-      inline_out[static_cast<size_t>(bb.function)].push_back(g);
-    }
-  }
-
-  // `recollect` closure: seeded by inline targets of dirty blocks, closed
-  // over inline calls made from recollect functions (their blocks replay,
-  // so their targets' joins rebuild too).
-  std::vector<uint8_t> recollect(fns.size(), 0);
-  std::deque<int> wl;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int g = inline_target[b];
-    if (g >= 0 && block_dirty_[b] != 0 && recollect[static_cast<size_t>(g)] == 0) {
-      recollect[static_cast<size_t>(g)] = 1;
-      wl.push_back(g);
-    }
-  }
-  while (!wl.empty()) {
-    const int f = wl.front();
-    wl.pop_front();
-    for (int g : inline_out[static_cast<size_t>(f)]) {
-      if (recollect[static_cast<size_t>(g)] == 0) {
-        recollect[static_cast<size_t>(g)] = 1;
-        wl.push_back(g);
-      }
-    }
-  }
-
-  replay_block_.assign(blocks.size(), 0);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int f = blocks[b].function;
-    const int g = inline_target[b];
-    replay_block_[b] = block_dirty_[b] != 0 ||
-                       (f >= 0 && recollect[static_cast<size_t>(f)] != 0) ||
-                       (g >= 0 && recollect[static_cast<size_t>(g)] != 0);
-  }
-  splice_fn_.assign(fns.size(), 0);
-  splice_spans_.clear();
-  for (size_t f = 0; f < fns.size(); ++f) {
-    splice_fn_[f] = dirty_fns[f] == 0 && recollect[f] == 0;
-    if (splice_fn_[f] != 0) splice_spans_.emplace_back(fns[f].entry, fns[f].end);
-  }
-
-  // Every spliced site must have a recorded counterpart to copy from.
-  // Lockstep walks: all three vectors ascend by PC, spans by entry.
-  {
-    auto bit = base.sites.begin();
-    size_t span = 0;
-    for (const DerefSite& s : sites_) {
-      while (span < splice_spans_.size() && s.pc >= splice_spans_[span].second)
-        ++span;
-      if (span == splice_spans_.size()) break;
-      if (s.pc < splice_spans_[span].first) continue;
-      while (bit != base.sites.end() && bit->pc < s.pc) ++bit;
-      if (bit == base.sites.end() || bit->pc != s.pc) return false;
-    }
-  }
-  {
-    auto bit = base.leak_sites.begin();
-    size_t span = 0;
-    for (const LeakSite& s : leak_sites_) {
-      while (span < splice_spans_.size() && s.pc >= splice_spans_[span].second)
-        ++span;
-      if (span == splice_spans_.size()) break;
-      if (s.pc < splice_spans_[span].first) continue;
-      while (bit != base.leak_sites.end() && bit->pc < s.pc) ++bit;
-      if (bit == base.leak_sites.end() || bit->pc != s.pc) return false;
-    }
-  }
-  splice_base_ = &base;
-  return true;
 }
 
 WitnessStep VsaEngine::render_step(const Event& e) const {
@@ -2587,11 +1860,7 @@ void VsaEngine::build_leak_witnesses(VsaAnalysis& res) const {
 
 VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
   VsaAnalysis res;
-  // Witness construction walks the whole propagation-event graph, so a
-  // witness run always replays everything; the filtered replay serves the
-  // bitmap/verdict surfaces (the Machine and campaign consumers).
-  const bool spliced = splice_base_ != nullptr && !options.witnesses;
-  if (!exhausted_) collect_pass(options, spliced);
+  if (!exhausted_) collect_pass(options);
   // Snapshot once: the collect replay itself burns block-run budget (leaf
   // inlining) and can trip exhaustion at the budget edge; the whole result
   // must then degrade coherently rather than half-and-half.
@@ -2616,43 +1885,6 @@ VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
     }
     events_.clear();
     aprov_events_.clear();
-  } else if (spliced) {
-    // A spliced function's converged states and text are identical to the
-    // recorded run's (what the warm verification proved), and no replayed
-    // block's inline chain reaches it, so its recorded facts ARE the facts
-    // a full replay would rebuild.  set_warm_collect validated that every
-    // spliced site has a recorded counterpart; the walks are lockstep
-    // (sites and spans both ascend by PC).
-    {
-      auto bit = splice_base_->sites.begin();
-      size_t span = 0;
-      for (DerefSite& s : sites_) {
-        while (span < splice_spans_.size() &&
-               s.pc >= splice_spans_[span].second)
-          ++span;
-        if (span == splice_spans_.size()) break;
-        if (s.pc < splice_spans_[span].first) continue;
-        while (bit != splice_base_->sites.end() && bit->pc < s.pc) ++bit;
-        if (bit == splice_base_->sites.end() || bit->pc != s.pc) continue;
-        s.reachable = bit->reachable;
-        s.may_taint = bit->may_taint;
-      }
-    }
-    {
-      auto bit = splice_base_->leak_sites.begin();
-      size_t span = 0;
-      for (LeakSite& s : leak_sites_) {
-        while (span < splice_spans_.size() &&
-               s.pc >= splice_spans_[span].second)
-          ++span;
-        if (span == splice_spans_.size()) break;
-        if (s.pc < splice_spans_[span].first) continue;
-        while (bit != splice_base_->leak_sites.end() && bit->pc < s.pc) ++bit;
-        if (bit == splice_base_->leak_sites.end() || bit->pc != s.pc) continue;
-        s.reachable = bit->reachable;
-        s.may_planes = bit->may_planes;
-      }
-    }
   }
   res.exhausted = exhausted_;
   res.sites = sites_;
@@ -2722,7 +1954,7 @@ VsaAnalysis VsaEngine::finish(const VsaOptions& options) {
   return res;
 }
 
-}  // namespace vsadetail
+}  // namespace
 
 // ---- public API ------------------------------------------------------------
 
@@ -2830,59 +2062,9 @@ std::string VsaAnalysis::report(const Cfg& cfg) const {
 
 VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
                         const VsaOptions& options) {
-  vsadetail::VsaEngine engine(cfg, policy);
-  engine.run(1);
+  VsaEngine engine(cfg, policy);
+  engine.run();
   return engine.finish(options);
-}
-
-VsaRun analyze_vsa_run(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                       const VsaOptions& options, int jobs) {
-  if (jobs > 1) {
-    vsadetail::VsaEngine engine(cfg, policy);
-    engine.run(jobs);
-    if (!engine.exhausted()) {
-      // The converged states are the unique least fixpoint, identical to
-      // the serial run's; only the visit *count* is schedule-dependent.
-      // Reset it so a near-budget collect pass degrades (or not) exactly
-      // like the jobs=1 run would.
-      engine.reset_block_runs();
-      VsaRun r;
-      r.analysis = engine.finish(options);
-      r.fixpoint = engine.build_record();
-      return r;
-    }
-    // Exhaustion under a parallel schedule is schedule-dependent; redo
-    // serially so the canonical degraded result ships.
-  }
-  vsadetail::VsaEngine engine(cfg, policy);
-  engine.run(1);
-  VsaRun r;
-  r.analysis = engine.finish(options);
-  r.fixpoint = engine.build_record();
-  return r;
-}
-
-std::optional<VsaRun> analyze_vsa_warm(const Cfg& cfg,
-                                       const cpu::TaintPolicy& policy,
-                                       const VsaOptions& options,
-                                       const VsaFixpoint& base,
-                                       const std::vector<uint8_t>& dirty_fns,
-                                       const VsaAnalysis* base_analysis) {
-  vsadetail::VsaEngine engine(cfg, policy);
-  if (!engine.warm_start(base, dirty_fns)) return std::nullopt;
-  engine.run(1);
-  if (!engine.warm_verify(base)) return std::nullopt;
-  // The warm iteration visited only the dirty region; align the budget
-  // counter with a from-scratch run's starting point before collecting.
-  engine.reset_block_runs();
-  if (base_analysis != nullptr && !options.witnesses) {
-    // Best-effort: a false return just keeps the full collect sweep.
-    (void)engine.set_warm_collect(dirty_fns, *base_analysis);
-  }
-  VsaRun r;
-  r.analysis = engine.finish(options);
-  r.fixpoint = engine.build_record();
-  return r;
 }
 
 Gen2Elision gen2_elision(const Cfg& cfg, const cpu::TaintPolicy& policy,

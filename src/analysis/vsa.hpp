@@ -63,8 +63,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,58 +156,13 @@ struct VsaOptions {
   std::vector<std::pair<uint32_t, uint32_t>> may_publish;
 };
 
+/// One from-scratch fixpoint over `cfg`, iterated serially from a FIFO
+/// worklist.  Deterministic: the same program, policy and options always
+/// yield byte-identical output.  Consumers that see the same program
+/// repeatedly go through the summary cache (summary_cache.hpp), which
+/// memoizes this result by exact program content.
 VsaAnalysis analyze_vsa(const Cfg& cfg, const cpu::TaintPolicy& policy,
                         const VsaOptions& options = {});
-
-// ---- incremental + parallel re-analysis -------------------------------------
-//
-// The summary cache (summary_cache.hpp) keeps a cold run's converged
-// fixpoint — per-block abstract states, per-function exit/summary records,
-// call-site records and every cross-function flow a block emitted — keyed
-// by PC so a later run over a mutated program can
-//
-//   1. preload every *clean* function's blocks, FnInfo and call sites,
-//   2. seed the dirty region from the recorded clean->dirty cross flows and
-//      clean-call-site composes, iterate only dirty blocks, and
-//   3. verify that (a) every call site at a dirty PC reconverged to exactly
-//      the recorded state and (b) the dirty region's joined contribution
-//      into every clean block equals the recorded one.
-//
-// Any doubt falls back to a cold run, so a warm result is always
-// byte-identical to cold.  The record is opaque: its member types live in
-// vsa.cpp.
-struct VsaFixpoint;
-
-struct VsaRun {
-  VsaAnalysis analysis;
-  std::shared_ptr<const VsaFixpoint> fixpoint;
-};
-
-/// Cold run that also builds the fixpoint record for later warm runs.
-/// Identical analysis output to analyze_vsa().  With `jobs` > 1 the
-/// chaotic fixpoint iterates on a thread pool, scheduled bottom-up over the
-/// call graph's SCC condensation (callees before callers, so summaries are
-/// usually ready when a caller composes); the converged states are the
-/// unique least fixpoint either way, so the result is byte-identical to the
-/// single-threaded run.  A budget-exhausted parallel run (schedule-
-/// dependent) is redone serially so the canonical degraded result ships.
-VsaRun analyze_vsa_run(const Cfg& cfg, const cpu::TaintPolicy& policy,
-                       const VsaOptions& options = {}, int jobs = 1);
-
-/// Warm re-analysis against `base` (a prior converged run under the *same*
-/// policy and options).  `dirty_fns[f]` marks new-Cfg functions whose text
-/// or calling context changed (content-hash difference, including
-/// transitive callers).  Returns nullopt when identity with a cold run
-/// cannot be proven.  `base_analysis` (the analysis the record was built
-/// with) enables incremental result collection: clean functions outside the
-/// dirty region's inline-call closure copy their site facts from it instead
-/// of being replayed — same output, less work (witness runs never filter).
-std::optional<VsaRun> analyze_vsa_warm(const Cfg& cfg,
-                                       const cpu::TaintPolicy& policy,
-                                       const VsaOptions& options,
-                                       const VsaFixpoint& base,
-                                       const std::vector<uint8_t>& dirty_fns,
-                                       const VsaAnalysis* base_analysis = nullptr);
 
 /// The second-generation elision table, the one Machine installs: the
 /// VSA's deref and leak bitmaps.  The VSA bitmap holds every site the

@@ -3,7 +3,7 @@
 // parse_settings sees the environment only through `lookup`, so tests hand
 // it a fake; settings() parses the real one on first use, fixed for the
 // life of the process.  Code that needs another value passes it explicitly
-// (MachineConfig, StoreOptions, SummaryCache::set_*).
+// (MachineConfig, StoreOptions, SummaryCache::set_enabled).
 #pragma once
 
 #include <cstddef>

@@ -9,6 +9,7 @@
 // layer; only the *reading* side needs a value model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,6 +28,12 @@ class JsonError : public std::runtime_error {
 /// recurses once per level and reads socket clients and the journal, so
 /// the cap keeps a hostile line ("[[[[...") from overflowing the stack.
 constexpr int kJsonMaxDepth = 64;
+
+/// Longest request line the daemon buffers (terminator excluded).  A peer
+/// that streams more without a newline gets one "bad request: line too
+/// long" reply and the connection closes, so it cannot grow the daemon's
+/// memory without bound.
+constexpr size_t kMaxLineBytes = size_t{4} << 20;
 
 class JsonValue {
  public:

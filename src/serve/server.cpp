@@ -38,22 +38,30 @@ bool write_line(int fd, const std::string& line) {
   return true;
 }
 
-/// Reads one newline-terminated line into `line`; false on EOF/error.
-bool read_line(int fd, std::string& buffer, std::string& line) {
+enum class ReadStatus { kLine, kClosed, kTooLong };
+
+/// Reads one newline-terminated line into `line`.  Each received chunk is
+/// searched once for the terminator; a line longer than kMaxLineBytes is
+/// kTooLong, and kClosed means EOF or a socket error.
+ReadStatus read_line(int fd, std::string& buffer, std::string& line) {
+  size_t scanned = 0;
   for (;;) {
-    const size_t nl = buffer.find('\n');
+    const size_t nl = buffer.find('\n', scanned);
     if (nl != std::string::npos) {
+      if (nl > kMaxLineBytes) return ReadStatus::kTooLong;
       line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
-      return true;
+      return ReadStatus::kLine;
     }
+    scanned = buffer.size();
+    if (scanned > kMaxLineBytes) return ReadStatus::kTooLong;
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return ReadStatus::kClosed;
     }
-    if (n == 0) return false;
+    if (n == 0) return ReadStatus::kClosed;
     buffer.append(chunk, static_cast<size_t>(n));
   }
 }
@@ -241,7 +249,13 @@ void ServeDaemon::connection_main(int fd) {
     }
   };
 
-  while (read_line(fd, buffer, line)) {
+  for (;;) {
+    const ReadStatus rs = read_line(fd, buffer, line);
+    if (rs == ReadStatus::kTooLong) {
+      write_line(fd, error_line("bad request: line too long"));
+      break;
+    }
+    if (rs == ReadStatus::kClosed) break;
     if (line.empty()) continue;
     JsonValue req;
     try {

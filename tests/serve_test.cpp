@@ -513,6 +513,23 @@ TEST_F(ServeDaemonTest, DeeplyNestedLineIsABadRequestNotACrash) {
             std::string::npos);
 }
 
+TEST_F(ServeDaemonTest, OverLongLineGetsOneReplyThenTheConnectionCloses) {
+  boot();
+  {
+    Client client(config_.socket_path);
+    client.send_line(std::string(kMaxLineBytes + 1, 'x'));
+    const auto reply = client.read_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_NE(reply->find("\"event\": \"error\""), std::string::npos);
+    EXPECT_NE(reply->find("bad request: line too long"), std::string::npos);
+    EXPECT_FALSE(client.read_line().has_value());  // closed after the reply
+  }
+  // The daemon keeps serving fresh connections.
+  Client fresh(config_.socket_path);
+  EXPECT_NE(fresh.request("{\"cmd\": \"ping\"}").find("pong"),
+            std::string::npos);
+}
+
 TEST_F(ServeDaemonTest, BadSpecYieldsHarnessErrorVerdictNotDeadShard) {
   boot();
   Client client(config_.socket_path);

@@ -275,15 +275,12 @@ int main(int argc, char** argv) {
     }
     const analysis::CacheStats as = analysis::SummaryCache::instance().stats();
     std::fprintf(stderr,
-                 "time: analysis cache %llu lookups %llu hits %llu warm "
-                 "(%llu fallbacks) %llu cold, %llu fns invalidated, "
-                 "%.1fms analyzing\n",
+                 "time: analysis cache %llu lookups %llu hits %llu cold "
+                 "%llu evictions, %.1fms analyzing\n",
                  static_cast<unsigned long long>(as.lookups),
                  static_cast<unsigned long long>(as.hits),
-                 static_cast<unsigned long long>(as.warm_hits),
-                 static_cast<unsigned long long>(as.warm_fallbacks),
                  static_cast<unsigned long long>(as.cold_misses),
-                 static_cast<unsigned long long>(as.invalidated_fns),
+                 static_cast<unsigned long long>(as.evictions),
                  static_cast<double>(as.analysis_micros) / 1000.0);
   }
   return exit_code_for(results);

@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool witnesses = true;
   bool leaks = false;
-  int jobs = 1;
   std::vector<std::string> may_publish;
 
   for (int i = 1; i < argc; ++i) {
@@ -180,8 +179,6 @@ usage: ptaint-prove [options] program.s [more.s ...]
   --may-publish FUNC    annotate FUNC (repeatable) as a legitimate pointer
                         publisher: its output sites count as explained,
                         not leaking (mirrors MachineConfig::may_publish)
-  --jobs N              iterate the value-set fixpoint on N threads
-                        (results are byte-identical to --jobs 1)
   --json                emit the report as JSON (schema: docs/ANALYSIS.md)
   --no-witnesses        verdicts and elision stats only (faster)
   --no-compare-untaint  analyze under the ablated compare rule
@@ -204,9 +201,6 @@ exit codes: 0 all witnesses source-rooted, 1 unexplained witnesses,
       leaks = true;
     } else if (arg == "--may-publish") {
       may_publish.push_back(value());
-    } else if (arg == "--jobs") {
-      jobs = std::atoi(value().c_str());
-      if (jobs < 1) jobs = 1;
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--no-witnesses") {
@@ -249,7 +243,6 @@ exit codes: 0 all witnesses source-rooted, 1 unexplained witnesses,
     return 4;
   }
   analysis::SummaryCache& cache = analysis::SummaryCache::instance();
-  if (jobs > 1) cache.set_jobs(jobs);
   const std::shared_ptr<const analysis::CachedAnalysis> cached =
       cache.analyze(program, policy, opts);
   const analysis::TaintAnalysis g1 = analysis::analyze_taint(cfg, policy);
