@@ -6,8 +6,12 @@
 //
 //   * cold  — first analysis of each program (CFG recovery + VSA fixpoint
 //             + elision table + block leaders);
-//   * exact — a second lookup of the identical program: pure content-hash
-//             hit, no analysis runs.
+//   * exact — a second lookup of the identical program by reference: the
+//             text is rehashed, then a hit, no analysis runs;
+//   * shared — the same lookup through the published shared program
+//             (asmgen::share), which carries its digest: no rehash, the
+//             path Machine::apply_static_elision takes on every boot and
+//             every snapshot-switching restore.
 //
 //   bench_analysis [json-path]       timing run (default BENCH_analysis.json)
 //   bench_analysis --check           identity run for the sanitizer legs:
@@ -15,7 +19,9 @@
 //                                    ablation and coverage column, the
 //                                    cached, uncached and direct results
 //                                    agree (bitmaps, site reports,
-//                                    witnesses, leak sites), and a
+//                                    witnesses, leak sites), a lookup
+//                                    through the shared program returns
+//                                    the by-reference entry, and a
 //                                    data-only variant of each app is an
 //                                    exact hit; timing skipped; exit 1 on
 //                                    any divergence
@@ -26,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +40,7 @@
 #include "analysis/summary_cache.hpp"
 #include "analysis/vsa.hpp"
 #include "asmgen/assembler.hpp"
+#include "asmgen/program_memo.hpp"
 #include "campaign/campaigns.hpp"
 #include "core/spec_workloads.hpp"
 #include "guest/apps/registry.hpp"
@@ -130,8 +138,9 @@ int run_check() {
   size_t compared = 0;
   size_t data_hits = 0;
   for (const guest::apps::AppEntry& app : guest::apps::registry()) {
-    const asmgen::Program program =
-        asmgen::assemble(guest::link_with_runtime(app.make()));
+    const std::shared_ptr<const asmgen::Program> shared =
+        asmgen::share(asmgen::assemble(guest::link_with_runtime(app.make())));
+    const asmgen::Program& program = *shared;
     const Cfg cfg(program);
     for (const campaign::PolicyVariant& column : columns) {
       for (const bool witnesses : {false, true}) {
@@ -145,6 +154,11 @@ int run_check() {
         const auto u = uncached.analyze(program, column.policy, opts);
         if (!identical(what + " cached-vs-direct", cfg, *c, want)) rc = 1;
         if (!identical(what + " uncached-vs-direct", cfg, *u, want)) rc = 1;
+        if (cached.analyze(shared, column.policy, opts).get() != c.get()) {
+          std::fprintf(stderr, "FAIL %s: shared lookup missed the entry\n",
+                       what.c_str());
+          rc = 1;
+        }
         ++compared;
       }
     }
@@ -177,6 +191,7 @@ struct AppRow {
   size_t functions = 0;
   double cold_ms = 1e9;
   double exact_us = 1e9;
+  double shared_us = 1e9;
 };
 
 constexpr int kReps = 5;
@@ -186,8 +201,9 @@ int run_timing(const std::string& json_path) {
   const VsaOptions opts;  // Machine-shaped lookups: no witnesses
   std::vector<AppRow> rows;
   for (core::SpecWorkload& w : core::make_spec_workloads(1)) {
-    const asmgen::Program program =
-        asmgen::assemble(guest::link_with_runtime(std::move(w.app)));
+    const std::shared_ptr<const asmgen::Program> shared = asmgen::share(
+        asmgen::assemble(guest::link_with_runtime(std::move(w.app))));
+    const asmgen::Program& program = *shared;
     AppRow row;
     row.name = w.name;
     row.text_words = program.text.size();
@@ -202,10 +218,15 @@ int run_timing(const std::string& json_path) {
       t0 = Clock::now();
       (void)cache.analyze(program, policy, opts);
       row.exact_us = std::min(row.exact_us, ms_since(t0) * 1000.0);
+      t0 = Clock::now();
+      (void)cache.analyze(shared, policy, opts);
+      row.shared_us = std::min(row.shared_us, ms_since(t0) * 1000.0);
     }
-    std::printf("%-8s %6zu words %3zu fns  cold %8.2fms  exact %7.1fus\n",
-                row.name.c_str(), row.text_words, row.functions, row.cold_ms,
-                row.exact_us);
+    std::printf(
+        "%-8s %6zu words %3zu fns  cold %8.2fms  exact %7.1fus  "
+        "shared %5.2fus\n",
+        row.name.c_str(), row.text_words, row.functions, row.cold_ms,
+        row.exact_us, row.shared_us);
     rows.push_back(row);
   }
 
@@ -218,9 +239,9 @@ int run_timing(const std::string& json_path) {
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"text_words\": %zu, "
                   "\"functions\": %zu, \"cold_ms\": %.3f, "
-                  "\"exact_hit_us\": %.1f}%s\n",
+                  "\"exact_hit_us\": %.1f, \"shared_hit_us\": %.2f}%s\n",
                   r.name.c_str(), r.text_words, r.functions, r.cold_ms,
-                  r.exact_us, i + 1 < rows.size() ? "," : "");
+                  r.exact_us, r.shared_us, i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";

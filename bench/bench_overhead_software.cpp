@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;  // min-of-3 rejects scheduler noise
   double base_total = 0.0, elide_total = 0.0;
   for (const auto& w : make_spec_workloads(scale)) {
-    const analysis::Cfg cfg(prepare_spec_workload(w)->program());
+    const auto booted = prepare_spec_workload(w);  // owns the program
+    const analysis::Cfg cfg(booted->program());
     const analysis::TaintAnalysis ta = analysis::analyze_taint(cfg, {});
     const analysis::Gen2Elision gen2 =
         analysis::gen2_elision(cfg, {}, analysis::analyze_vsa(cfg, {}));

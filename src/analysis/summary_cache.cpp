@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "analysis/cfg.hpp"
+#include "asmgen/program_memo.hpp"
 #include "core/settings.hpp"
 
 namespace ptaint::analysis {
@@ -52,26 +53,6 @@ uint64_t policy_hash(const cpu::TaintPolicy& policy,
     f.mix(begin);
     f.mix(end);
   }
-  return f.h;
-}
-
-/// Whole-program content hash: everything the analyses can observe.  The
-/// data segment is deliberately excluded — the abstract domains classify
-/// addresses by layout region and taint only, never by data bytes — which
-/// is what makes the cache hit across campaign payload variants that
-/// differ only in their input data.
-uint64_t program_hash(const asmgen::Program& program) {
-  Fnv f;
-  f.mix(kSchemaSalt);
-  f.mix(program.entry);
-  f.mix(program.text.size());
-  for (uint32_t w : program.text) f.mix(w);
-  // Label placement shapes the recovered CFG (leaders, indirect-jump
-  // fanout, function attribution); names never reach the analyses.
-  f.mix(program.text_labels.size());
-  for (const auto& [pc, name] : program.text_labels) f.mix(pc);
-  f.mix(program.function_labels.size());
-  for (const auto& [pc, name] : program.function_labels) f.mix(pc);
   return f.h;
 }
 
@@ -163,8 +144,20 @@ CacheStats SummaryCache::stats() const {
 std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
     const asmgen::Program& program, const cpu::TaintPolicy& policy,
     const VsaOptions& options) {
+  return lookup(program, asmgen::code_digest(program), policy, options);
+}
+
+std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
+    const std::shared_ptr<const asmgen::Program>& program,
+    const cpu::TaintPolicy& policy, const VsaOptions& options) {
+  return lookup(*program, asmgen::code_digest(program), policy, options);
+}
+
+std::shared_ptr<const CachedAnalysis> SummaryCache::lookup(
+    const asmgen::Program& program, uint64_t digest,
+    const cpu::TaintPolicy& policy, const VsaOptions& options) {
   Impl& im = *impl_;
-  const Key key{program_hash(program), policy_hash(policy, options)};
+  const Key key{digest, policy_hash(policy, options)};
 
   std::unique_lock<std::mutex> lk(im.mu);
   ++im.stats.lookups;

@@ -10,9 +10,11 @@
 // register-only analyzer is not cached: it runs only as gen2_elision's
 // fallback when the VSA exhausts its budget.
 //
-// Key.  The content hash covers the text words, the entry point and the
-// label placement (which shapes the recovered CFG); the data segment is
-// left out, because the analyses never read data bytes.  So campaign
+// Key.  The content hash is asmgen::code_digest: the text words, the entry
+// point and the label placement (which shapes the recovered CFG); the data
+// segment is left out, because the analyses never read data bytes.  A
+// shared program carries the digest from its publication, so a lookup
+// through the shared-pointer overload does not rehash.  So campaign
 // payload variants that differ only in their input data hit one entry.
 // The policy column and analysis options are hashed alongside: the same
 // program under a different Table 1 configuration is a different entry.
@@ -69,9 +71,18 @@ class SummaryCache {
 
   SummaryCache();
 
+  /// Hashes the program's code on every call: a value Program may have
+  /// been mutated since it was last seen.
   std::shared_ptr<const CachedAnalysis> analyze(
       const asmgen::Program& program, const cpu::TaintPolicy& policy,
       const VsaOptions& options = {});
+
+  /// Same key and result as the by-reference overload, but keyed on the
+  /// digest the published program carries (asmgen::share), so an exact hit
+  /// does not rehash the text.
+  std::shared_ptr<const CachedAnalysis> analyze(
+      const std::shared_ptr<const asmgen::Program>& program,
+      const cpu::TaintPolicy& policy, const VsaOptions& options = {});
 
   CacheStats stats() const;
 
@@ -81,6 +92,11 @@ class SummaryCache {
   void set_enabled(bool on);
 
  private:
+  std::shared_ptr<const CachedAnalysis> lookup(const asmgen::Program& program,
+                                               uint64_t digest,
+                                               const cpu::TaintPolicy& policy,
+                                               const VsaOptions& options);
+
   struct Impl;
   std::shared_ptr<Impl> impl_;
 };

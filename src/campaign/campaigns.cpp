@@ -501,19 +501,15 @@ Job make_session_job(const std::string& app_name,
   job.make_config = [p, elide, engine]() {
     return fork_config(p, kContrastBudget, elide, engine);
   };
-  // The armed inputs are part of the boot, so the snapshot key must cover
-  // them: two submissions differing only in session bytes fork different
-  // snapshots, identical ones share.
-  std::string snap_key = "guest:" + app_name;
-  for (const std::string& line : session) snap_key += "\x1f" + line;
-  snap_key += "\x1e" + stdin_text;
-  job.get_snapshot = [&cache, snap_key, app_name, session, stdin_text]() {
-    return cache.get(snap_key, [&]() {
+  // Session and stdin bytes are input the guest first sees when it runs,
+  // so they are installed after restore rather than baked into the boot:
+  // every session of one app forks that app's single boot snapshot.
+  job.input = JobInput{session, stdin_text};
+  job.get_snapshot = [&cache, app_name]() {
+    return cache.get("guest:" + app_name, [&]() {
       auto m = std::make_unique<core::Machine>(core::MachineConfig{});
       m->load_sources(
           guest::link_with_runtime(guest::apps::find_app(app_name)->make()));
-      if (!session.empty()) m->os().net().add_session(session);
-      if (!stdin_text.empty()) m->os().set_stdin(stdin_text);
       return m->snapshot();
     });
   };

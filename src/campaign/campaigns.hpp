@@ -77,11 +77,11 @@ Job make_cell_job(const CellRef& cell, SnapshotCache& cache,
                   std::optional<cpu::Engine> engine = std::nullopt);
 
 /// A custom analysis job outside the fixed matrices (the serve daemon's
-/// "guest" app kind): boot built-in app `app_name` (guest/apps registry),
-/// arm the scripted client `session` and `stdin_text` as external (tainted)
-/// input, and judge generically — DETECTED / CRASHED / BUDGET / EXIT:<n>.
-/// The snapshot key covers the app and the armed inputs, so identical
-/// submissions share one boot and COW-fork the rest.
+/// "guest" app kind): fork built-in app `app_name`'s boot snapshot
+/// (guest/apps registry), install the scripted client `session` and
+/// `stdin_text` as job input (Job::input; tainted on delivery), and judge
+/// generically — DETECTED / CRASHED / BUDGET / EXIT:<n>.  The snapshot key
+/// is the app alone, so every session of one app shares one boot.
 Job make_session_job(const std::string& app_name,
                      const std::vector<std::string>& session,
                      const std::string& stdin_text,

@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/machine.hpp"
 
@@ -37,6 +39,23 @@ const char* to_string(JobStatus status);
 
 struct JobResult;
 
+/// Guest input a job installs after restoring its snapshot and before the
+/// first instruction runs: the attacker-controlled bytes of the paper's
+/// threat model, which SYS_RECV/SYS_READ taint on delivery.  Keeping them
+/// out of the snapshot lets every session of one app fork that app's single
+/// boot snapshot.
+struct JobInput {
+  std::vector<std::string> session;  // one scripted client connection;
+                                     // empty = no connection
+  std::string stdin_text;
+
+  /// Replaces (never appends to) the machine's network sessions and stdin,
+  /// so installing into a restored boot snapshot gives exactly the state of
+  /// a boot that armed these inputs before its snapshot — whether or not
+  /// the snapshot already carried a session.
+  void install(core::Machine& machine) const;
+};
+
 /// One cell of the experiment matrix.
 struct Job {
   // Stable matrix coordinates (labels, not indices, so reports read well).
@@ -55,6 +74,11 @@ struct Job {
   std::string machine_key;
   std::function<core::MachineConfig()> make_config;
   std::function<std::shared_ptr<const core::MachineSnapshot>()> get_snapshot;
+
+  /// Installed by run_job between restore and run (JobInput::install).
+  /// Guest session jobs set it; matrix cells arm their payloads inside the
+  /// snapshot and leave it unset.
+  std::optional<JobInput> input;
 
   /// Fills verdict/detail from the finished run.  Optional; runs on the
   /// same worker thread as get_snapshot().

@@ -214,6 +214,7 @@ void SnapshotCache::dehydrate_lru_locked() {
 SnapshotCache::Stats SnapshotCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats out = stats_;
+  out.entries = entries_.size();
   for (const auto& [key, entry] : entries_) {
     if (!entry) continue;
     if (entry->stored) ++out.stored_snapshots;

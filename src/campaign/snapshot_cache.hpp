@@ -78,6 +78,7 @@ class SnapshotCache {
     uint64_t misses = 0;  // requests that had to build (≥ builds: a
                           // throwing builder is a miss but not a build)
     double build_ms = 0.0;        // wall time spent inside builders
+    uint64_t entries = 0;         // keys the cache holds
     uint64_t snapshot_pages = 0;  // mapped pages across hydrated snapshots
     uint64_t shared_pages = 0;    // of those, pages currently shared (COW)
     // --- store-backed operation (zeros without a store) ---

@@ -15,6 +15,12 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
 
 }  // namespace
 
+void JobInput::install(core::Machine& machine) const {
+  machine.os().net().clear_sessions();
+  if (!session.empty()) machine.os().net().add_session(session);
+  machine.os().set_stdin(stdin_text);
+}
+
 core::Machine* MachinePool::find(const std::string& key) {
   for (auto& [k, m] : entries_) {
     if (k == key) return m.get();
@@ -76,6 +82,7 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
       // Repeat restores from one snapshot take the COW delta path inside
       // Machine::restore — O(pages the previous run dirtied).
       machine->restore(*snapshot);
+      if (job.input) job.input->install(*machine);
       const auto armed_at = Clock::now();
       result.restore_ms = ms_between(resolved_at, armed_at);
       const auto deadline = start + job.timeout;

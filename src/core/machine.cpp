@@ -5,6 +5,7 @@
 #include "analysis/summary_cache.hpp"
 #include "analysis/taint_analyzer.hpp"
 #include "analysis/vsa.hpp"
+#include "asmgen/program_memo.hpp"
 #include "core/settings.hpp"
 
 namespace ptaint::core {
@@ -19,7 +20,9 @@ std::string RunReport::alert_line() const {
   return line;
 }
 
-Machine::Machine(MachineConfig config) : config_(std::move(config)) {
+Machine::Machine(MachineConfig config)
+    : config_(std::move(config)),
+      program_(std::make_shared<const asmgen::Program>()) {
   no_cow_ = config_.no_cow || settings().no_cow;
   os_ = std::make_unique<os::SimOs>();
   cpu_ = std::make_unique<cpu::Cpu>(memory_, config_.policy);
@@ -60,28 +63,34 @@ void Machine::load_source(std::string_view source, std::string name) {
 }
 
 void Machine::load_sources(const std::vector<asmgen::Source>& sources) {
-  load_program(asmgen::assemble(sources));
+  install_program(asmgen::ProgramMemo::instance().assemble(sources));
 }
 
 void Machine::load_program(asmgen::Program program) {
+  install_program(asmgen::share(std::move(program)));
+}
+
+void Machine::install_program(
+    std::shared_ptr<const asmgen::Program> program) {
   // The program (and the text/data it writes below) no longer corresponds
   // to whatever snapshot this machine was last restored from; the next
   // restore must be a full one.
   memory_.forget_base();
   program_ = std::move(program);
+  const asmgen::Program& p = *program_;
   // Text segment.
-  for (size_t i = 0; i < program_.text.size(); ++i) {
+  for (size_t i = 0; i < p.text.size(); ++i) {
     memory_.store_word(layout::kTextBase + 4 * static_cast<uint32_t>(i),
-                       TaintedWord{program_.text[i]});
+                       TaintedWord{p.text[i]});
   }
   // Data segment.
-  memory_.write_block(layout::kDataBase, program_.data, /*tainted=*/false);
+  memory_.write_block(layout::kDataBase, p.data, /*tainted=*/false);
   // Program break starts past .data, 8-byte aligned.
-  os_->set_initial_brk((program_.data_end + 7) & ~7u);
+  os_->set_initial_brk((p.data_end + 7) & ~7u);
   cpu_->set_executable_range(
       layout::kTextBase,
-      layout::kTextBase + 4 * static_cast<uint32_t>(program_.text.size()));
-  cpu_->set_pc(program_.entry);
+      layout::kTextBase + 4 * static_cast<uint32_t>(p.text.size()));
+  cpu_->set_pc(p.entry);
   // The initial stack pointer is the root of stack address provenance:
   // every frame and local address derives from it.
   cpu_->regs().set(isa::kSp, TaintedWord{layout::kStackTop - aslr_offset(),
@@ -97,13 +106,14 @@ size_t Machine::enable_static_elision() {
 }
 
 size_t Machine::apply_static_elision() {
-  if (program_.text.empty()) return 0;
+  if (program_->text.empty()) return 0;
   // Second-generation table: the memory-aware value-set prover's bitmaps
   // (vsa.cpp) — sites proven clean, including those whose cleanliness
   // transits memory, and sites proven dead.  The summary cache memoizes the
   // whole result set per (program, policy), so rebooting the same guest —
   // or a near-identical campaign variant — skips CFG recovery and the
-  // fixpoint.
+  // fixpoint; the shared program carries its digest, so a hit does not
+  // rehash the text either.
   const std::shared_ptr<const analysis::CachedAnalysis> cached =
       analysis::SummaryCache::instance().analyze(program_, config_.policy);
   cpu_->set_check_elision(cached->gen2.elision);
@@ -167,13 +177,14 @@ void Machine::setup_argv() {
 }
 
 void Machine::protect_symbol(const std::string& symbol, uint32_t len) {
-  cpu_->protect_region(program_.symbols.at(symbol), len, symbol);
+  cpu_->protect_region(program_->symbols.at(symbol), len, symbol);
 }
 
 void Machine::apply_may_publish(bool strict) {
   if (config_.may_publish.empty()) return;
   cpu_->set_publish_ranges(
-      analysis::resolve_publish_ranges(program_, config_.may_publish, strict));
+      analysis::resolve_publish_ranges(*program_, config_.may_publish,
+                                       strict));
 }
 
 MachineSnapshot Machine::snapshot() {
@@ -256,7 +267,7 @@ RunReport Machine::report() const {
   r.stop = cpu_->stop_reason();
   r.exit_status = cpu_->exit_status();
   r.alert = cpu_->alert();
-  if (r.alert) r.alert_function = program_.symbol_for(r.alert->pc);
+  if (r.alert) r.alert_function = program_->symbol_for(r.alert->pc);
   r.fault = cpu_->fault_message();
   r.stdout_text = os_->stdout_text();
   r.stderr_text = os_->stderr_text();
@@ -268,7 +279,7 @@ RunReport Machine::report() const {
   r.os_stats = os_->stats();
   if (pipeline_) r.pipeline_stats = pipeline_->stats();
   r.tainted_memory_bytes = memory_.tainted_byte_count();
-  if (tracer_) r.trace_tail = tracer_->format(&program_);
+  if (tracer_) r.trace_tail = tracer_->format(program_.get());
   return r;
 }
 

@@ -128,8 +128,13 @@ struct RunReport {
 /// it dirtied, and N forked machines share one immutable page set.
 /// Observable behaviour is identical to a deep copy; PTAINT_NO_COW=1 (or
 /// MachineConfig::no_cow) forces actual deep copies for debugging.
+///
+/// The program is an immutable shared value (asmgen/program_memo.hpp): a
+/// snapshot, the machine it came from and every machine restored from it
+/// point at one object, so neither snapshot() nor a restore that switches
+/// snapshots copies it.
 struct MachineSnapshot {
-  asmgen::Program program;
+  std::shared_ptr<const asmgen::Program> program;
   mem::TaintedMemory memory;
   cpu::Cpu::State cpu;
   os::SimOs os;
@@ -145,6 +150,9 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   /// Assembles and loads; throws asmgen::AssemblyError on bad input.
+  /// load_sources goes through the process-wide asmgen::ProgramMemo, so
+  /// loading sources it has seen before skips assembly and shares the
+  /// published program.
   void load_source(std::string_view source, std::string name = "<input>");
   void load_sources(const std::vector<asmgen::Source>& sources);
   void load_program(asmgen::Program program);
@@ -162,7 +170,7 @@ class Machine {
   os::SimOs& os() { return *os_; }
   cpu::Cpu& cpu() { return *cpu_; }
   mem::TaintedMemory& memory() { return memory_; }
-  const asmgen::Program& program() const { return program_; }
+  const asmgen::Program& program() const { return *program_; }
   const MachineConfig& config() const { return config_; }
   cpu::Pipeline* pipeline() { return pipeline_.get(); }
 
@@ -210,6 +218,8 @@ class Machine {
   size_t enable_static_elision();
 
  private:
+  /// The load path shared by load_sources and load_program.
+  void install_program(std::shared_ptr<const asmgen::Program> program);
   void setup_argv();
   void install_retire_hook();
   size_t apply_static_elision();
@@ -227,7 +237,7 @@ class Machine {
   std::unique_ptr<cpu::Pipeline> pipeline_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<trace::Profiler> profiler_;
-  asmgen::Program program_;
+  std::shared_ptr<const asmgen::Program> program_;  // never null
 };
 
 }  // namespace ptaint::core

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "asmgen/program_memo.hpp"
+
 namespace ptaint::core {
 namespace {
 
@@ -359,7 +361,7 @@ std::optional<StoredSnapshot> dehydrate_snapshot(MachineSnapshot& snapshot,
   Writer w;
   w.u32(kMetaMagic);
   w.u32(kMetaVersion);
-  write_program(w, snapshot.program);
+  write_program(w, *snapshot.program);
   write_cpu(w, snapshot.cpu);
   write_os(w, snapshot.os);
   stored.meta = std::move(w.out);
@@ -371,7 +373,7 @@ std::optional<MachineSnapshot> hydrate_snapshot(const StoredSnapshot& stored,
   Reader r{stored.meta.data(), stored.meta.data() + stored.meta.size()};
   if (r.u32() != kMetaMagic || r.u32() != kMetaVersion) return std::nullopt;
   MachineSnapshot snapshot;
-  snapshot.program = read_program(r);
+  snapshot.program = asmgen::share(read_program(r));
   snapshot.cpu = read_cpu(r);
   read_os(r, snapshot.os);
   if (!r.ok) return std::nullopt;

@@ -10,6 +10,11 @@ void VirtualNetwork::add_session(const std::vector<std::string>& chunks) {
   sessions_.push_back(std::move(live));
 }
 
+void VirtualNetwork::clear_sessions() {
+  sessions_.clear();
+  next_accept_ = 0;
+}
+
 bool VirtualNetwork::has_pending_session() const {
   return next_accept_ < sessions_.size();
 }

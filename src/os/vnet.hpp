@@ -28,6 +28,10 @@ class VirtualNetwork {
   /// (may contain NUL and arbitrary bytes via std::string contents).
   void add_session(const std::vector<std::string>& request_chunks);
 
+  /// Drops every session with its transcript and resets the accept cursor:
+  /// the network is as it was before the first add_session.
+  void clear_sessions();
+
   /// True if an un-accepted session is queued.
   bool has_pending_session() const;
 

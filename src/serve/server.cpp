@@ -535,7 +535,8 @@ std::string ServeDaemon::status_json() {
                 requests ? static_cast<double>(cs.hits) / requests : 0.0);
   ss << buf << ", \"build_ms\": ";
   std::snprintf(buf, sizeof buf, "%.3f", cs.build_ms);
-  ss << buf << ", \"snapshot_pages\": " << cs.snapshot_pages
+  ss << buf << ", \"entries\": " << cs.entries
+     << ", \"snapshot_pages\": " << cs.snapshot_pages
      << ", \"shared_pages\": " << cs.shared_pages
      << ", \"dehydrations\": " << cs.dehydrations
      << ", \"rehydrations\": " << cs.rehydrations

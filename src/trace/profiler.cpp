@@ -5,7 +5,8 @@
 
 namespace ptaint::trace {
 
-Profiler::Profiler(const asmgen::Program& program) : program_(program) {}
+Profiler::Profiler(const std::shared_ptr<const asmgen::Program>& program)
+    : program_(program) {}
 
 void Profiler::record(uint32_t pc) {
   ++total_;
@@ -14,7 +15,7 @@ void Profiler::record(uint32_t pc) {
     return;
   }
   // Find the enclosing function span in the sorted label list.
-  const auto& labels = program_.function_labels;
+  const auto& labels = program_->function_labels;
   uint32_t begin = 0;
   uint32_t end = 0xffffffff;
   for (size_t i = 0; i < labels.size(); ++i) {
@@ -35,7 +36,7 @@ std::vector<Profiler::Row> Profiler::hottest(size_t max_rows) const {
   rows.reserve(counts_.size());
   for (const auto& [addr, count] : counts_) {
     Row row;
-    row.function = program_.symbol_for(addr);
+    row.function = program_->symbol_for(addr);
     if (row.function.empty()) row.function = "<unknown>";
     row.instructions = count;
     row.share = total_ == 0 ? 0.0 : static_cast<double>(count) / total_;

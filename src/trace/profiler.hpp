@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,9 +16,10 @@ namespace ptaint::trace {
 
 class Profiler {
  public:
-  /// The program supplies the function-label map; it must outlive the
-  /// profiler.
-  explicit Profiler(const asmgen::Program& program);
+  /// The program slot supplies the function-label map; the profiler reads
+  /// whatever program it currently holds (a machine swaps it on load and
+  /// restore), so the slot must outlive the profiler and never be null.
+  explicit Profiler(const std::shared_ptr<const asmgen::Program>& program);
 
   void record(uint32_t pc);
 
@@ -44,7 +46,7 @@ class Profiler {
   }
 
  private:
-  const asmgen::Program& program_;
+  const std::shared_ptr<const asmgen::Program>& program_;
   // Counts keyed by function start address (resolved lazily to names).
   std::map<uint32_t, uint64_t> counts_;
   uint64_t total_ = 0;

@@ -13,15 +13,19 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "campaign/campaigns.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
 #include "campaign/snapshot_cache.hpp"
 #include "campaign/worker.hpp"
 #include "core/machine.hpp"
+#include "guest/apps/registry.hpp"
+#include "guest/runtime.hpp"
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "serve/queue.hpp"
@@ -620,6 +624,134 @@ TEST_F(ServeDaemonTest, GuestSessionJobRunsCustomApp) {
   // The %n write derails through a tainted pointer — the generic session
   // classifier reports the detection.
   EXPECT_EQ(v.get("result")->get_string("verdict"), "DETECTED");
+}
+
+/// Guest jobs of one app, each with its own session: format-string
+/// sessions that derail through a tainted %n pointer and plain ones that
+/// exit.
+std::vector<JobSpec> guest_specs(const std::string& tenant) {
+  std::vector<JobSpec> specs;
+  for (const char* line : {"hello", "abcd%x%x%x%x%n", "plain text 1",
+                           "%x%x", "abcd%x%x%x%x%n!", "hello again"}) {
+    JobSpec spec;
+    spec.tenant = tenant;
+    spec.app = "guest";
+    spec.payload = "fn-format-leak";
+    spec.policy = "paper";
+    spec.session = {line};
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+/// A guest job run the way the daemon ran them before sessions became job
+/// input: the app booted with the session armed before its snapshot, on a
+/// fresh cache and machine.
+JsonValue fresh_boot_row(const JobSpec& spec) {
+  campaign::SnapshotCache cache(campaign::StoreOptions{});
+  campaign::Job job = campaign::make_session_job(
+      spec.payload, spec.session, spec.stdin_text, spec.policy, cache,
+      spec.elide);
+  job.input.reset();
+  job.get_snapshot = [&spec]() {
+    core::Machine m;
+    m.load_sources(guest::link_with_runtime(
+        guest::apps::find_app(spec.payload)->make()));
+    if (!spec.session.empty()) m.os().net().add_session(spec.session);
+    if (!spec.stdin_text.empty()) m.os().set_stdin(spec.stdin_text);
+    return std::make_shared<const core::MachineSnapshot>(m.snapshot());
+  };
+  campaign::MachinePool pool;
+  campaign::ForkCounters counters;
+  return JsonValue::parse(campaign::to_json_row(
+      campaign::run_job(job, 0, campaign::WorkerConfig{}, pool, counters),
+      {}));
+}
+
+void expect_same_row(const JsonValue& got, const JsonValue& want,
+                     const std::string& what) {
+  for (const char* field :
+       {"status", "verdict", "detail", "stop", "alert", "alert_function"}) {
+    EXPECT_EQ(got.get_string(field), want.get_string(field))
+        << what << " " << field;
+  }
+  for (const char* field :
+       {"exit_status", "instructions", "tainted_memory_bytes"}) {
+    EXPECT_EQ(got.get_u64(field), want.get_u64(field)) << what << " " << field;
+  }
+}
+
+/// One guest app: however many sessions, one boot snapshot.
+void expect_one_guest_snapshot(Client& client) {
+  const JsonValue status =
+      JsonValue::parse(client.request("{\"cmd\": \"status\"}"));
+  const JsonValue* cache = status.get("snapshot_cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->get_u64("builds"), 1u);
+  EXPECT_EQ(cache->get_u64("entries"), 1u);
+}
+
+TEST_F(ServeDaemonTest, GuestSessionsOfOneAppForkOneBootSnapshot) {
+  boot();
+  const std::vector<JobSpec> specs = guest_specs("t");
+  std::string jobs;
+  for (const JobSpec& spec : specs) {
+    jobs += (jobs.empty() ? "" : ", ") + spec.to_json();
+  }
+  Client client(config_.socket_path);
+  client.send_line("{\"cmd\": \"submit\", \"stream\": true, \"jobs\": [" +
+                   jobs + "]}");
+  const auto accepted = client.read_line();
+  ASSERT_TRUE(accepted.has_value());
+  const JsonValue reply = JsonValue::parse(*accepted);
+  const JsonValue* ids = reply.get("ids");
+  ASSERT_NE(ids, nullptr);
+  ASSERT_EQ(ids->as_array().size(), specs.size());
+  std::map<uint64_t, JsonValue> rows;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const auto event = client.read_line();
+    ASSERT_TRUE(event.has_value());
+    const JsonValue v = JsonValue::parse(*event);
+    ASSERT_NE(v.get("result"), nullptr);
+    rows.emplace(v.get_u64("id"), *v.get("result"));
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const uint64_t id = ids->as_array()[i].as_u64();
+    ASSERT_EQ(rows.count(id), 1u);
+    expect_same_row(rows.at(id), fresh_boot_row(specs[i]),
+                    specs[i].session.front());
+  }
+  expect_one_guest_snapshot(client);
+}
+
+TEST_F(ServeDaemonTest, RestartReplaysGuestJobsFromOneBootSnapshot) {
+  const std::string base = "/tmp/ptaint_serve_test." +
+                           std::to_string(::getpid()) + ".guest-restart";
+  config_.socket_path = base + ".sock";
+  config_.journal_path = base + ".journal";
+  config_.workers = 2;
+  ::unlink(config_.journal_path.c_str());
+  const std::vector<JobSpec> specs = guest_specs("t");
+  std::vector<uint64_t> ids;
+  {
+    JobQueue orphaned({config_.journal_path, 0});
+    for (const JobSpec& spec : specs) ids.push_back(orphaned.submit(spec));
+  }
+  daemon_ = std::make_unique<ServeDaemon>(config_);
+  daemon_->start();
+  EXPECT_EQ(daemon_->replayed(), specs.size());
+  Client client(config_.socket_path);
+  const std::string drained = client.request("{\"cmd\": \"drain\"}");
+  EXPECT_NE(drained.find("\"done\": " + std::to_string(specs.size())),
+            std::string::npos);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const JsonValue reply = JsonValue::parse(client.request(
+        "{\"cmd\": \"result\", \"id\": " + std::to_string(ids[i]) + "}"));
+    ASSERT_NE(reply.get("result"), nullptr);
+    expect_same_row(*reply.get("result"), fresh_boot_row(specs[i]),
+                    specs[i].session.front());
+  }
+  expect_one_guest_snapshot(client);
 }
 
 TEST_F(ServeDaemonTest, CancelQueuedJobEmitsEvent) {
