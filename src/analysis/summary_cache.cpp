@@ -1,12 +1,6 @@
 #include "analysis/summary_cache.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <list>
-#include <map>
-#include <mutex>
-#include <set>
-#include <utility>
 
 #include "analysis/cfg.hpp"
 #include "asmgen/program_memo.hpp"
@@ -68,19 +62,6 @@ std::vector<uint8_t> block_leaders_of(const Cfg& cfg,
   return leaders;
 }
 
-// ---- cache proper ----------------------------------------------------------
-
-struct Key {
-  uint64_t content = 0;
-  uint64_t policy = 0;
-  bool operator<(const Key& o) const {
-    return content != o.content ? content < o.content : policy < o.policy;
-  }
-  bool operator==(const Key& o) const {
-    return content == o.content && policy == o.policy;
-  }
-};
-
 }  // namespace
 
 std::string CacheStats::json(bool include_timing) const {
@@ -102,22 +83,7 @@ std::string CacheStats::json(bool include_timing) const {
   return s;
 }
 
-struct SummaryCache::Impl {
-  mutable std::mutex mu;
-  std::condition_variable cv;
-  // MRU-first key list; map holds list iterators for O(log n) touch.
-  std::list<Key> lru;
-  struct Entry {
-    std::shared_ptr<const CachedAnalysis> result;
-    std::list<Key>::iterator pos;
-  };
-  std::map<Key, Entry> entries;
-  std::set<Key> in_flight;
-  CacheStats stats;
-  bool enabled = core::settings().analysis_cache;
-};
-
-SummaryCache::SummaryCache() : impl_(std::make_shared<Impl>()) {}
+SummaryCache::SummaryCache() : enabled_(core::settings().analysis_cache) {}
 
 SummaryCache& SummaryCache::instance() {
   static SummaryCache cache;
@@ -125,19 +91,25 @@ SummaryCache& SummaryCache::instance() {
 }
 
 bool SummaryCache::enabled() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->enabled;
+  std::lock_guard<std::mutex> lk(mu_);
+  return enabled_;
 }
 
 void SummaryCache::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->enabled = on;
+  std::lock_guard<std::mutex> lk(mu_);
+  enabled_ = on;
 }
 
 CacheStats SummaryCache::stats() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  CacheStats s = impl_->stats;
-  s.entries = impl_->entries.size();
+  const auto m = memo_.stats();
+  std::lock_guard<std::mutex> lk(mu_);
+  CacheStats s;
+  s.lookups = m.lookups + uncached_;
+  s.hits = m.hits;
+  s.cold_misses = m.builds + uncached_;
+  s.evictions = m.evictions;
+  s.analysis_micros = analysis_micros_;
+  s.entries = m.entries;
   return s;
 }
 
@@ -156,54 +128,28 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
 std::shared_ptr<const CachedAnalysis> SummaryCache::lookup(
     const asmgen::Program& program, uint64_t digest,
     const cpu::TaintPolicy& policy, const VsaOptions& options) {
-  Impl& im = *impl_;
-  const Key key{digest, policy_hash(policy, options)};
-
-  std::unique_lock<std::mutex> lk(im.mu);
-  ++im.stats.lookups;
-  const bool memoize = im.enabled;
-  if (memoize) {
-    for (;;) {
-      auto it = im.entries.find(key);
-      if (it != im.entries.end()) {
-        ++im.stats.hits;
-        im.lru.splice(im.lru.begin(), im.lru, it->second.pos);
-        return it->second.result;
-      }
-      if (im.in_flight.count(key) == 0) break;
-      // Another thread is analyzing this exact key; one analysis serves
-      // both.  (Re-counts as a hit when it lands.)
-      im.cv.wait(lk);
-    }
-    im.in_flight.insert(key);
+  const auto analyze_now = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const Cfg cfg(program);
+    auto result = std::make_shared<CachedAnalysis>();
+    result->g2 = analyze_vsa(cfg, policy, options);
+    result->gen2 = gen2_elision(cfg, policy, result->g2);
+    result->block_leaders = block_leaders_of(cfg, program);
+    const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    std::lock_guard<std::mutex> lk(mu_);
+    analysis_micros_ += static_cast<uint64_t>(micros);
+    return std::shared_ptr<const CachedAnalysis>(std::move(result));
+  };
+  bool memoize = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    memoize = enabled_;
+    if (!memoize) ++uncached_;
   }
-  lk.unlock();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const Cfg cfg(program);
-  auto result = std::make_shared<CachedAnalysis>();
-  result->g2 = analyze_vsa(cfg, policy, options);
-  result->gen2 = gen2_elision(cfg, policy, result->g2);
-  result->block_leaders = block_leaders_of(cfg, program);
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-
-  lk.lock();
-  im.stats.analysis_micros += static_cast<uint64_t>(micros);
-  ++im.stats.cold_misses;
-  if (!memoize) return result;
-  im.in_flight.erase(key);
-  im.lru.push_front(key);
-  im.entries.emplace(key, Impl::Entry{result, im.lru.begin()});
-  while (im.entries.size() > kCapacity) {
-    const Key victim = im.lru.back();
-    im.lru.pop_back();
-    im.entries.erase(victim);
-    ++im.stats.evictions;
-  }
-  im.cv.notify_all();
-  return result;
+  if (!memoize) return analyze_now();
+  return memo_.get({digest, policy_hash(policy, options)}, analyze_now);
 }
 
 }  // namespace ptaint::analysis

@@ -27,12 +27,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/vsa.hpp"
 #include "asmgen/assembler.hpp"
 #include "cpu/taint_policy.hpp"
+#include "util/memo.hpp"
 
 namespace ptaint::analysis {
 
@@ -57,9 +60,9 @@ struct CacheStats {
   std::string json(bool include_timing = true) const;
 };
 
-/// Thread-safe LRU memoizer.  `analyze` is the single entry point: it
-/// returns the cached result on an exact content hit and analyzes from
-/// scratch otherwise.  Concurrent lookups of the same key block on one
+/// Thread-safe LRU memoizer (a util::Memo).  `analyze` is the single entry
+/// point: it returns the cached result on an exact content hit and analyzes
+/// from scratch otherwise.  Concurrent lookups of the same key block on one
 /// analysis.
 class SummaryCache {
  public:
@@ -97,8 +100,13 @@ class SummaryCache {
                                                const cpu::TaintPolicy& policy,
                                                const VsaOptions& options);
 
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
+  /// (code digest, policy hash) -> result set.
+  util::Memo<std::pair<uint64_t, uint64_t>, CachedAnalysis> memo_{kCapacity};
+
+  mutable std::mutex mu_;  // guards the three members below
+  bool enabled_;
+  uint64_t uncached_ = 0;  // analyses run with memoization off
+  uint64_t analysis_micros_ = 0;
 };
 
 }  // namespace ptaint::analysis

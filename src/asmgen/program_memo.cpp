@@ -1,11 +1,6 @@
 #include "asmgen/program_memo.hpp"
 
-#include <condition_variable>
 #include <cstring>
-#include <list>
-#include <map>
-#include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -74,9 +69,7 @@ struct SourceDigest {
   }
 };
 
-using Key = std::pair<uint64_t, uint64_t>;
-
-Key source_key(const std::vector<Source>& sources) {
+std::pair<uint64_t, uint64_t> source_key(const std::vector<Source>& sources) {
   SourceDigest d;
   d.word(sources.size());
   for (const Source& s : sources) {
@@ -117,77 +110,20 @@ std::shared_ptr<const Program> share(Program program) {
 
 // ---- memo ------------------------------------------------------------------
 
-struct ProgramMemo::Impl {
-  mutable std::mutex mu;
-  std::condition_variable cv;
-  std::list<Key> lru;  // most recently used first
-  struct Entry {
-    std::shared_ptr<const Program> program;
-    std::list<Key>::iterator pos;
-  };
-  std::map<Key, Entry> entries;
-  std::set<Key> in_flight;
-  ProgramMemoStats stats;
-};
-
-ProgramMemo::ProgramMemo() : impl_(std::make_shared<Impl>()) {}
-
 ProgramMemo& ProgramMemo::instance() {
   static ProgramMemo memo;
   return memo;
 }
 
 ProgramMemoStats ProgramMemo::stats() const {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  ProgramMemoStats s = impl_->stats;
-  s.entries = impl_->entries.size();
-  return s;
+  const auto s = memo_.stats();
+  return {s.lookups, s.hits, s.builds, s.evictions, s.entries};
 }
 
 std::shared_ptr<const Program> ProgramMemo::assemble(
     const std::vector<Source>& sources) {
-  Impl& im = *impl_;
-  const Key key = source_key(sources);
-
-  std::unique_lock<std::mutex> lk(im.mu);
-  ++im.stats.lookups;
-  for (;;) {
-    auto it = im.entries.find(key);
-    if (it != im.entries.end()) {
-      ++im.stats.hits;
-      im.lru.splice(im.lru.begin(), im.lru, it->second.pos);
-      return it->second.program;
-    }
-    if (im.in_flight.count(key) == 0) break;
-    // Another thread is assembling these exact sources; wait for it.  If
-    // it fails, the loop finds neither entry nor flight and tries itself.
-    im.cv.wait(lk);
-  }
-  im.in_flight.insert(key);
-  ++im.stats.assemblies;
-  lk.unlock();
-
-  std::shared_ptr<const Program> program;
-  try {
-    program = share(asmgen::assemble(sources));
-  } catch (...) {
-    lk.lock();
-    im.in_flight.erase(key);
-    im.cv.notify_all();
-    throw;
-  }
-
-  lk.lock();
-  im.in_flight.erase(key);
-  im.lru.push_front(key);
-  im.entries.emplace(key, Impl::Entry{program, im.lru.begin()});
-  while (im.entries.size() > kCapacity) {
-    im.entries.erase(im.lru.back());
-    im.lru.pop_back();
-    ++im.stats.evictions;
-  }
-  im.cv.notify_all();
-  return program;
+  return memo_.get(source_key(sources),
+                   [&] { return share(asmgen::assemble(sources)); });
 }
 
 }  // namespace ptaint::asmgen

@@ -10,21 +10,24 @@
 // the summary cache keys on: an exact hit through a shared program does not
 // rehash the text.
 //
-// The memo keys by a 128-bit content digest of the linked sources (unit
-// names and text, never the text itself), keeps the kCapacity most recently
-// used programs, collapses concurrent misses on one key onto a single
-// assembly, and caches nothing for sources that fail to assemble: every
-// call with them throws the AssemblyError afresh.  Machine::load_sources
-// goes through it, so re-booting an app (a fresh snapshot cache, a first
-// sight of a session, a campaign serial reference) skips assembly.
+// The memo is a util::Memo keyed by a 128-bit content digest of the linked
+// sources (unit names and text, never the text itself): it keeps the
+// kCapacity most recently used programs, collapses concurrent misses on one
+// key onto a single assembly, and caches nothing for sources that fail to
+// assemble: every call with them throws the AssemblyError afresh.
+// Machine::load_sources goes through it, so re-booting an app (a fresh
+// snapshot cache, a first sight of a session, a campaign serial reference)
+// skips assembly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "asmgen/assembler.hpp"
+#include "util/memo.hpp"
 
 namespace ptaint::asmgen {
 
@@ -59,8 +62,6 @@ class ProgramMemo {
   /// The process-wide instance Machine::load_sources uses.
   static ProgramMemo& instance();
 
-  ProgramMemo();
-
   /// The published program for `sources`; throws AssemblyError (and
   /// caches nothing) when they do not assemble.
   std::shared_ptr<const Program> assemble(const std::vector<Source>& sources);
@@ -68,8 +69,7 @@ class ProgramMemo {
   ProgramMemoStats stats() const;
 
  private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
+  util::Memo<std::pair<uint64_t, uint64_t>, Program> memo_{kCapacity};
 };
 
 }  // namespace ptaint::asmgen

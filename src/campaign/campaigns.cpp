@@ -107,7 +107,7 @@ std::string machine_key(const std::string& policy_name, uint64_t budget,
   return key;
 }
 
-Job spec_job(SnapshotCache& cache,
+Job spec_job(SnapshotCache& cache, int spec_scale,
              const std::shared_ptr<const core::SpecWorkload>& w,
              const PolicyVariant& variant, bool elide,
              std::optional<cpu::Engine> engine) {
@@ -121,8 +121,11 @@ Job spec_job(SnapshotCache& cache,
   job.make_config = [policy, elide, engine]() {
     return fork_config(policy, kSpecBudget, elide, engine);
   };
-  job.get_snapshot = [&cache, w]() {
-    return cache.get("spec:" + w->name, [&w]() {
+  // The scale sizes the workload's input, so it is part of the boot.
+  const std::string snap_key =
+      "spec:" + w->name + "@" + std::to_string(spec_scale);
+  job.get_snapshot = [&cache, w, snap_key]() {
+    return cache.get(snap_key, [&w]() {
       return core::prepare_spec_workload(*w, {})->snapshot();
     });
   };
@@ -462,7 +465,7 @@ Job make_cell_job(const CellRef& cell, SnapshotCache& cache, int spec_scale,
     throw std::invalid_argument("unknown policy: " + cell.policy);
   }
   if (cell.app == "spec") {
-    return spec_job(cache, find_workload(spec_scale, cell.payload),
+    return spec_job(cache, spec_scale, find_workload(spec_scale, cell.payload),
                     {cell.policy, *policy}, elide, engine);
   }
   if (cell.app == "attack") {

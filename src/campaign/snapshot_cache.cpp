@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,12 @@ std::string blob_name(const std::string& key) {
   return buf;
 }
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 StoreOptions StoreOptions::from_env() {
@@ -44,7 +51,10 @@ StoreOptions StoreOptions::from_env() {
 
 SnapshotCache::SnapshotCache() : SnapshotCache(StoreOptions::from_env()) {}
 
-SnapshotCache::SnapshotCache(const StoreOptions& options) : options_(options) {
+SnapshotCache::SnapshotCache(const StoreOptions& options)
+    : options_(options),
+      hot_(options.enabled ? options.hot_snapshots
+                           : decltype(hot_)::kUnbounded) {
   if (!options_.enabled) return;
   mem::PageStore::Config config;
   config.hot_page_budget = options_.hot_pages;
@@ -52,8 +62,6 @@ SnapshotCache::SnapshotCache(const StoreOptions& options) : options_(options) {
   store_ = std::make_unique<mem::PageStore>(std::move(config));
   if (!options_.disk_dir.empty()) load_disk_blobs();
 }
-
-SnapshotCache::~SnapshotCache() = default;
 
 void SnapshotCache::load_disk_blobs() {
   namespace fs = std::filesystem;
@@ -71,158 +79,104 @@ void SnapshotCache::load_disk_blobs() {
     auto decoded = core::decode_stored_snapshot(bytes);
     if (!decoded) continue;
     auto& [key, stored] = *decoded;
-    // Adopt one pin per page ref; a blob referencing pages whose files were
-    // lost is discarded (the key just rebuilds on first use).
-    size_t pinned = 0;
-    bool ok = true;
-    for (const auto& [idx, page_key] : stored.pages) {
-      (void)idx;
-      if (!store_->pin(page_key)) {
-        ok = false;
-        break;
-      }
-      ++pinned;
-    }
-    if (!ok) {
-      for (size_t i = 0; i < pinned; ++i) {
-        store_->release(stored.pages[i].second);
-      }
-      continue;
-    }
-    auto entry = std::make_shared<Entry>();
-    entry->stored = std::move(stored);
-    entry->from_disk = true;
-    entries_[key] = std::move(entry);  // ctor context: no locking needed
+    // A blob referencing pages whose files were lost is discarded (the key
+    // just rebuilds on first use).
+    const bool complete = std::all_of(
+        stored.pages.begin(), stored.pages.end(),
+        [this](const auto& ref) { return store_->contains(ref.second); });
+    if (!complete) continue;
+    stored_[key] = Stored{
+        std::make_shared<const core::StoredSnapshot>(std::move(stored)), true};
   }
 }
 
 std::shared_ptr<const core::MachineSnapshot> SnapshotCache::get(
     const std::string& key, const Builder& build) {
-  std::shared_ptr<Entry> entry;
-  {
+  bool resolved = false;
+  auto snapshot = hot_.get(key, [&] {
+    resolved = true;
+    return resolve(key, build);
+  });
+  // The hot set may just have evicted a snapshot and left its store blocks
+  // sole-owned; compress the cold ones.
+  if (resolved && store_) store_->evict_cold();
+  return snapshot;
+}
+
+std::shared_ptr<const core::MachineSnapshot> SnapshotCache::resolve(
+    const std::string& key, const Builder& build) {
+  Stored stored;
+  if (store_) {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = entries_[key];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
+    if (auto it = stored_.find(key); it != stored_.end()) stored = it->second;
   }
-  std::lock_guard<std::mutex> build_lock(entry->build_mutex);
-  bool has_stored = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entry->snapshot) {
-      ++stats_.hits;
-      entry->last_touch = ++tick_;
-      return entry->snapshot;
-    }
-    has_stored = entry->stored.has_value();
-  }
-  if (has_stored && store_) {
-    // Rehydrate from store pages — a hit: nothing is rebuilt.  `stored` is
-    // only mutated under build_mutex (held), so reading it unlocked is safe.
+  if (stored.snapshot) {
+    // Rehydrate from store pages — a hit: nothing is rebuilt.
     const auto t0 = std::chrono::steady_clock::now();
-    auto hydrated = core::hydrate_snapshot(*entry->stored, *store_);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    auto hydrated = core::hydrate_snapshot(*stored.snapshot, *store_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (hydrated) {
-      auto snapshot =
-          std::make_shared<const core::MachineSnapshot>(std::move(*hydrated));
-      std::lock_guard<std::mutex> lock(mutex_);
-      entry->snapshot = snapshot;
-      entry->last_touch = ++tick_;
-      ++stats_.hits;
       ++stats_.rehydrations;
-      stats_.hydrate_ms += ms;
-      if (entry->from_disk && !entry->disk_counted) {
+      stats_.hydrate_ms += ms_since(t0);
+      if (stored.from_disk) {
         ++stats_.disk_rehydrations;
-        entry->disk_counted = true;
+        stored_[key].from_disk = false;
       }
-      dehydrate_lru_locked();
-      return snapshot;
+      return std::make_shared<const core::MachineSnapshot>(
+          std::move(*hydrated));
     }
     // Page file lost/corrupt: fall back to a full rebuild below.
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry->stored.reset();
-    entry->from_disk = false;
+    stored_.erase(key);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.misses;
   }
-  // Build outside mutex_ so unrelated keys boot concurrently; only callers
-  // of this key serialize on build_mutex.
   const auto t0 = std::chrono::steady_clock::now();
   core::MachineSnapshot built = build();
-  const double built_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+  const double built_ms = ms_since(t0);
   // Dehydrate before publishing: interning swaps the snapshot's blocks for
   // canonical store duplicates (content-identical), then the snapshot is
   // frozen behind a const pointer.  The blob is queued after its pages'
   // interns, so the write-behind FIFO makes it durable last (a blob on disk
   // always finds its pages).  Pipeline-bearing snapshots return nullopt and
-  // stay hydrated forever.
-  std::optional<core::StoredSnapshot> stored;
+  // keep no stored form.
+  std::optional<core::StoredSnapshot> dehydrated;
   if (store_) {
-    stored = core::dehydrate_snapshot(built, *store_);
-    if (stored && !options_.disk_dir.empty()) {
+    dehydrated = core::dehydrate_snapshot(built, *store_);
+    if (dehydrated && !options_.disk_dir.empty()) {
       store_->queue_blob(blob_name(key),
-                         core::encode_stored_snapshot(key, *stored));
+                         core::encode_stored_snapshot(key, *dehydrated));
     }
   }
   auto snapshot =
       std::make_shared<const core::MachineSnapshot>(std::move(built));
-  // Publish under mutex_ as well: stats() walks entries_ without taking
-  // per-entry build mutexes.
   std::lock_guard<std::mutex> lock(mutex_);
-  entry->snapshot = snapshot;
-  entry->stored = std::move(stored);
-  entry->last_touch = ++tick_;
   ++stats_.builds;
   stats_.build_ms += built_ms;
-  dehydrate_lru_locked();
+  if (dehydrated) {
+    stored_[key] = Stored{
+        std::make_shared<const core::StoredSnapshot>(std::move(*dehydrated)),
+        false};
+  }
   return snapshot;
-}
-
-void SnapshotCache::dehydrate_lru_locked() {
-  if (!store_) return;
-  // Hydrated entries WITH a dehydrated form beyond the hot budget drop
-  // their materialized snapshot, coldest first.  Entries without one
-  // (pipeline-bearing) are never dropped — they could not come back.
-  std::vector<Entry*> droppable;
-  for (const auto& [key, entry] : entries_) {
-    if (entry && entry->snapshot && entry->stored) {
-      droppable.push_back(entry.get());
-    }
-  }
-  if (droppable.size() <= options_.hot_snapshots) return;
-  std::sort(droppable.begin(), droppable.end(),
-            [](const Entry* a, const Entry* b) {
-              return a->last_touch < b->last_touch;
-            });
-  const size_t excess = droppable.size() - options_.hot_snapshots;
-  for (size_t i = 0; i < excess; ++i) {
-    droppable[i]->snapshot.reset();
-    ++stats_.dehydrations;
-  }
-  // Dropping cache references may have left store blocks sole-owned;
-  // compress the cold ones.  (PageStore has its own lock; no ordering
-  // cycle — the store never calls back into the cache.)
-  store_->evict_cold();
 }
 
 SnapshotCache::Stats SnapshotCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats out = stats_;
-  out.entries = entries_.size();
-  for (const auto& [key, entry] : entries_) {
-    if (!entry) continue;
-    if (entry->stored) ++out.stored_snapshots;
-    if (!entry->snapshot) continue;
+  const auto hot = hot_.stats();
+  out.hits = hot.hits + stats_.rehydrations;
+  out.dehydrations += hot.evictions;
+  out.stored_snapshots = stored_.size();
+  out.entries = stored_.size();
+  hot_.for_each([&](const std::string& key,
+                    const core::MachineSnapshot& snapshot) {
+    if (stored_.count(key) == 0) ++out.entries;
     ++out.hydrated_snapshots;
-    out.snapshot_pages += entry->snapshot->memory.mapped_pages();
-    out.shared_pages += entry->snapshot->memory.shared_page_count();
-  }
+    out.snapshot_pages += snapshot.memory.mapped_pages();
+    out.shared_pages += snapshot.memory.shared_page_count();
+  });
   if (store_) {
     out.store_enabled = true;
     out.store = store_->stats();
@@ -232,12 +186,10 @@ SnapshotCache::Stats SnapshotCache::stats() const {
 
 void SnapshotCache::drop_hydrated() {
   if (!store_) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, entry] : entries_) {
-    if (entry && entry->snapshot && entry->stored) {
-      entry->snapshot.reset();
-      ++stats_.dehydrations;
-    }
+  const size_t dropped = hot_.clear();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.dehydrations += dropped;
   }
   store_->evict_cold();
 }

@@ -7,30 +7,32 @@
 // other workers asking for the same key wait; distinct keys build
 // concurrently.
 //
-// With a store attached (StoreOptions::enabled — PTAINT_SNAPSHOT_STORE=1 /
+// The hydrated snapshots are a util::Memo hot set: single flight, O(1) LRU,
+// one lock on a hit.  Without a store it is unbounded.  With a store
+// attached (StoreOptions::enabled — PTAINT_SNAPSHOT_STORE=1 /
 // PTAINT_SNAPSHOT_DIR=<dir> in the default constructor), the cache is
 // re-platformed on the content-addressed mem::PageStore (DESIGN.md §13):
 // every built snapshot is dehydrated — its pages interned for cross-key
-// dedup, the rest serialized to a meta blob — and only the most recently
-// used `hot_snapshots` entries stay hydrated.  A get() for a dehydrated
-// entry rehydrates from store pages (counted as a hit: nothing is rebuilt).
-// With a disk tier, snapshot blobs are written behind, and a restarted
-// process finds them at construction and serves warm keys without
-// rebuilding.  Pipeline-bearing snapshots are not dehydratable and simply
-// stay hydrated forever, exactly as without a store.
+// dedup, the rest serialized to a meta blob — and the hot set keeps only
+// the `hot_snapshots` most recently used entries hydrated.  A get() that
+// misses the hot set rehydrates from store pages (counted as a hit: nothing
+// is rebuilt).  With a disk tier, snapshot blobs are written behind, and a
+// restarted process finds them at construction and serves warm keys
+// without rebuilding.  Pipeline-bearing snapshots are not dehydratable:
+// once evicted, they are rebuilt on their next get().
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "core/machine.hpp"
 #include "core/snapshot_io.hpp"
 #include "mem/page_store.hpp"
+#include "util/memo.hpp"
 
 namespace ptaint::campaign {
 
@@ -62,13 +64,13 @@ class SnapshotCache {
   /// Store attachment resolved from the environment (see StoreOptions).
   SnapshotCache();
   explicit SnapshotCache(const StoreOptions& options);
-  ~SnapshotCache();
 
-  /// Returns the snapshot for `key`, invoking `build` exactly once per key
-  /// (even under concurrent callers).  If the builder throws, the error
-  /// propagates to every caller of that key and nothing is cached, so a
-  /// retried job re-attempts the build.  With a store, a dehydrated entry
-  /// is rehydrated from store pages instead of rebuilt (still a hit).
+  /// Returns the snapshot for `key`, invoking `build` once per key (even
+  /// under concurrent callers) while the key stays cached.  If the builder
+  /// throws, the error propagates to its caller and nothing is cached, so
+  /// the next caller of that key re-attempts the build.  With a store, a
+  /// dehydrated entry is rehydrated from store pages instead of rebuilt
+  /// (still a hit).
   std::shared_ptr<const core::MachineSnapshot> get(const std::string& key,
                                                    const Builder& build);
 
@@ -82,7 +84,7 @@ class SnapshotCache {
     uint64_t snapshot_pages = 0;  // mapped pages across hydrated snapshots
     uint64_t shared_pages = 0;    // of those, pages currently shared (COW)
     // --- store-backed operation (zeros without a store) ---
-    uint64_t dehydrations = 0;    // hydrated entries dropped to store form
+    uint64_t dehydrations = 0;    // hydrated entries dropped from the hot set
     uint64_t rehydrations = 0;    // hits served by hydrating store pages
     uint64_t disk_rehydrations = 0;  // entries revived from a prior
                                      // process's disk tier (once per entry)
@@ -105,9 +107,9 @@ class SnapshotCache {
   /// drop_caches()/flush()-style tier forcing.
   mem::PageStore* store() { return store_.get(); }
 
-  /// Drops every hydrated snapshot that has a dehydrated form, then evicts
-  /// cold store pages — forces the next get() of each key through the
-  /// store path.  Bench/test hook; no-op without a store.
+  /// Drops every hydrated snapshot, then evicts cold store pages — forces
+  /// the next get() of each key through the store path.  Bench/test hook;
+  /// no-op without a store.
   void drop_hydrated();
 
   /// Blocks until the store's write-behind queue is durable.  Call before
@@ -115,29 +117,27 @@ class SnapshotCache {
   void flush_disk();
 
  private:
-  struct Entry {
-    std::mutex build_mutex;
-    // snapshot and stored are written under mutex_ (stats() and the LRU
-    // dehydrator walk entries without per-entry locks); snapshot is only
-    // *set* while build_mutex is also held, so per-key callers serialize.
-    std::shared_ptr<const core::MachineSnapshot> snapshot;
-    std::optional<core::StoredSnapshot> stored;
-    uint64_t last_touch = 0;
-    bool from_disk = false;     // revived from a prior process's blob
-    bool disk_counted = false;  // disk_rehydrations tallied for this entry
+  /// A key's dehydrated form.
+  struct Stored {
+    std::shared_ptr<const core::StoredSnapshot> snapshot;
+    bool from_disk = false;  // a prior process's blob, not yet rehydrated
   };
 
   void load_disk_blobs();
-  /// Requires mutex_.  Drops LRU hydrated entries beyond hot_snapshots.
-  void dehydrate_lru_locked();
+  /// The hot set's builder: rehydrates `key`'s stored form when there is
+  /// one, and otherwise builds, dehydrates and queues the blob.
+  std::shared_ptr<const core::MachineSnapshot> resolve(const std::string& key,
+                                                       const Builder& build);
 
   StoreOptions options_;
   std::unique_ptr<mem::PageStore> store_;  // null when !options_.enabled
+  util::Memo<std::string, core::MachineSnapshot> hot_;
 
-  mutable std::mutex mutex_;  // guards entries_ map, stats_, tick_
-  std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
-  uint64_t tick_ = 0;
-  Stats stats_;
+  // Guards stored_ and stats_.  Taken before hot_'s lock, never under it:
+  // hot_ runs resolve() unlocked.
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, Stored> stored_;
+  Stats stats_;  // the counters resolve() and drop_hydrated() keep
 };
 
 }  // namespace ptaint::campaign

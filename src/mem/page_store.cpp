@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 namespace ptaint::mem {
 namespace {
@@ -189,11 +190,15 @@ PageStore::~PageStore() {
   }
 }
 
-PageStore::Slot* PageStore::find_slot(const Key& key) {
+const PageStore::Slot* PageStore::find_slot(const Key& key) const {
   auto it = index_.find(key.hash);
   if (it == index_.end() || key.slot >= it->second.size()) return nullptr;
-  Slot& slot = it->second[key.slot];
+  const Slot& slot = it->second[key.slot];
   return slot.present ? &slot : nullptr;
+}
+
+PageStore::Slot* PageStore::find_slot(const Key& key) {
+  return const_cast<Slot*>(std::as_const(*this).find_slot(key));
 }
 
 std::shared_ptr<PageStore::Page> PageStore::load_from_disk(const Key& key) {
@@ -245,7 +250,6 @@ std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
       slot.hot = canon;
       ++hot_count_;
     }
-    ++slot.pins;
     slot.last_touch = ++tick_;
     ++stats_.dedup_hits;
     return {slot.hot, key};
@@ -263,7 +267,6 @@ std::pair<std::shared_ptr<PageStore::Page>, PageStore::Key> PageStore::intern(
   slot = Slot{};
   slot.present = true;
   slot.hot = page;
-  slot.pins = 1;
   slot.last_touch = ++tick_;
   ++hot_count_;
   const Key key{hash, slot_id};
@@ -301,18 +304,9 @@ std::shared_ptr<PageStore::Page> PageStore::fetch(const Key& key) {
   return slot->hot;
 }
 
-bool PageStore::pin(const Key& key) {
+bool PageStore::contains(const Key& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Slot* slot = find_slot(key);
-  if (!slot) return false;
-  ++slot->pins;
-  return true;
-}
-
-void PageStore::release(const Key& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Slot* slot = find_slot(key);
-  if (slot && slot->pins > 0) --slot->pins;
+  return find_slot(key) != nullptr;
 }
 
 void PageStore::evict_cold() {

@@ -8,8 +8,8 @@
 //
 //   * interning — each page is hashed (FNV-1a 64 over data + taint bitmap
 //     + address-provenance nibbles) into a dedup index; an intern of
-//     already-known content returns the existing canonical block and bumps
-//     its pin count.  Hash collisions are handled by full-content compare
+//     already-known content returns the existing canonical block.  Hash
+//     collisions are handled by full-content compare
 //     within the bucket, so dedup is exact, never probabilistic.
 //   * compression — pages evicted from the hot working set (LRU beyond
 //     `hot_page_budget`, and only once the store holds the last reference)
@@ -99,24 +99,20 @@ class PageStore {
   PageStore& operator=(const PageStore&) = delete;
 
   /// Interns `page` by content: returns the canonical block for that
-  /// content (which is `page` itself the first time) and its key, and
-  /// takes one pin on the key.  With a disk tier, new content is queued
-  /// for write-behind.  May evict cold pages beyond the hot budget.
+  /// content (which is `page` itself the first time) and its key.  With a
+  /// disk tier, new content is queued for write-behind.  May evict cold
+  /// pages beyond the hot budget.
   std::pair<std::shared_ptr<Page>, Key> intern(std::shared_ptr<Page> page);
 
   /// Materializes the page for `key`: the hot block, else inflate the
   /// compressed image, else read + inflate the disk tier's page file.
   /// Returns nullptr when the key is unknown or its page file is
-  /// missing/corrupt (callers rebuild from scratch).  Does not pin.
+  /// missing/corrupt (callers rebuild from scratch).
   std::shared_ptr<Page> fetch(const Key& key);
 
-  /// Takes one pin on an existing key (adopting refs found in an on-disk
-  /// snapshot blob).  Returns false when the key is unknown.
-  bool pin(const Key& key);
-
-  /// Drops one pin.  Unpinned content stays interned (it still serves
-  /// dedup) but its slot becomes reclaimable by evict.
-  void release(const Key& key);
+  /// Whether `key` names interned content (checking the page refs found in
+  /// an on-disk snapshot blob).
+  bool contains(const Key& key) const;
 
   /// Compresses + drops materialized pages beyond the hot budget, coldest
   /// first, skipping pages still shared with a live snapshot.  Called
@@ -155,7 +151,6 @@ class PageStore {
     bool present = false;           // slot id is used (files create gaps)
     std::shared_ptr<Page> hot;      // materialized canonical block
     std::vector<uint8_t> compressed;  // RLE image ("" = not compressed yet)
-    uint64_t pins = 0;
     uint64_t last_touch = 0;
     bool on_disk = false;   // page file durable (or known from startup scan)
     bool queued = false;    // write-behind in flight
@@ -169,6 +164,7 @@ class PageStore {
   };
 
   Slot* find_slot(const Key& key);
+  const Slot* find_slot(const Key& key) const;
   void evict_cold_locked(std::unique_lock<std::mutex>& lock);
   void writer_main();
   std::shared_ptr<Page> load_from_disk(const Key& key);
@@ -190,12 +186,12 @@ class PageStore {
 
 /// Interns every page of `memory` into `store`, swapping each block for
 /// its canonical duplicate, and returns the (page index, key) list
-/// describing the image.  The caller owns one store pin per entry.
+/// describing the image.
 std::vector<std::pair<uint32_t, PageStore::Key>> intern_memory(
     PageStore& store, TaintedMemory& memory);
 
 /// Rebuilds `memory` from store-resident pages — the inverse of
-/// intern_memory.  Does not pin.  Returns false (leaving `memory` in an
+/// intern_memory.  Returns false (leaving `memory` in an
 /// unspecified but valid state) when any page cannot be fetched.
 bool adopt_memory(PageStore& store, TaintedMemory& memory,
                   const std::vector<std::pair<uint32_t, PageStore::Key>>& refs);

@@ -18,6 +18,7 @@
 #include "campaign/report.hpp"
 #include "campaign/snapshot_cache.hpp"
 #include "core/machine.hpp"
+#include "core/spec_workloads.hpp"
 
 namespace ptaint::campaign {
 namespace {
@@ -233,6 +234,33 @@ TEST(Campaign, CoverageEngineMatchesSerialReference) {
   const auto serial = run_serial_reference("coverage");
   const auto diffs = diff_verdicts(engine, serial);
   for (const auto& d : diffs) ADD_FAILURE() << d;
+}
+
+TEST(Campaign, SpecCellAtTwoScalesThroughOneCacheMatchesSerialReferences) {
+  // The scale sizes a SPEC surrogate's input, so one cache asked for the
+  // same cell at scale 1 and then 2 must boot each scale's input.
+  SnapshotCache cache;
+  const CellRef cell{"spec", "GCC", "paper"};
+  for (const int scale : {1, 2}) {
+    const auto engine = Executor().run({make_cell_job(cell, cache, scale)});
+    ASSERT_EQ(engine.size(), 1u);
+    // The serial reference's SPEC path: a fresh boot at this scale on the
+    // step engine.
+    core::SpecWorkload workload;
+    for (core::SpecWorkload& w : core::make_spec_workloads(scale)) {
+      if (w.name == cell.payload) workload = std::move(w);
+    }
+    const core::RunReport serial =
+        core::prepare_spec_workload(workload, *policy_by_name(cell.policy),
+                                    cpu::Engine::kStep)
+            ->run();
+    EXPECT_EQ(engine[0].verdict, "OK") << "scale " << scale;
+    EXPECT_EQ(engine[0].report.cpu_stats.instructions,
+              serial.cpu_stats.instructions)
+        << "scale " << scale;
+    EXPECT_EQ(engine[0].report.stdout_text, serial.stdout_text)
+        << "scale " << scale;
+  }
 }
 
 TEST(Campaign, ReportsAreDeterministicFunctionsOfResults) {

@@ -120,7 +120,7 @@ TEST(PageStore, UnknownKeysFailCleanly) {
   PageStore store;
   const PageStore::Key bogus{0x1234567890ABCDEFull, 0};
   EXPECT_EQ(store.fetch(bogus), nullptr);
-  EXPECT_FALSE(store.pin(bogus));
+  EXPECT_FALSE(store.contains(bogus));
 }
 
 // ---- RLE codec -------------------------------------------------------------
@@ -269,7 +269,7 @@ TEST(PageStore, DiskTierSurvivesRestart) {
       << "the startup scan must register every page file";
   EXPECT_EQ(revived.stats().hot_pages, 0u) << "nothing is loaded eagerly";
   for (const auto& [key, original] : interned) {
-    EXPECT_TRUE(revived.pin(key)) << "keys are stable across restarts";
+    EXPECT_TRUE(revived.contains(key)) << "keys are stable across restarts";
     const auto fetched = revived.fetch(key);
     ASSERT_NE(fetched, nullptr);
     EXPECT_TRUE(same_planes(original, *fetched));
@@ -302,24 +302,17 @@ TEST(PageStore, ConcurrentInternFetchEvictStress) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       std::mt19937 rng(t);
-      std::vector<PageStore::Key> pinned;
       for (int i = 0; i < kIters; ++i) {
         const int c = static_cast<int>(rng() % kContents);
         const auto [canon, key] = store.intern(content(c));
         EXPECT_EQ(canon->data[0], static_cast<uint8_t>(c));
-        pinned.push_back(key);
         if (rng() % 4 == 0) {
           const auto fetched = store.fetch(key);
           ASSERT_NE(fetched, nullptr);
           EXPECT_EQ(fetched->data[4000], static_cast<uint8_t>(c * 7));
         }
         if (rng() % 8 == 0) store.evict_cold();
-        if (pinned.size() > 16) {
-          store.release(pinned.back());
-          pinned.pop_back();
-        }
       }
-      for (const PageStore::Key& key : pinned) store.release(key);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -330,7 +323,6 @@ TEST(PageStore, ConcurrentInternFetchEvictStress) {
   for (int c = 0; c < kContents; ++c) {
     const auto [canon, key] = store.intern(content(c));
     EXPECT_TRUE(same_planes(*content(c), *canon));
-    store.release(key);
   }
 }
 
