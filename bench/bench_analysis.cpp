@@ -17,9 +17,9 @@
 //   bench_analysis --check           identity run for the sanitizer legs:
 //                                    on every registry app under every
 //                                    ablation and coverage column, the
-//                                    cached, uncached and direct results
-//                                    agree (bitmaps, site reports,
-//                                    witnesses, leak sites), a lookup
+//                                    cached and direct results agree
+//                                    (bitmaps, site reports, witnesses,
+//                                    leak sites), a lookup
 //                                    through the shared program returns
 //                                    the by-reference entry, and a
 //                                    data-only variant of each app is an
@@ -128,12 +128,7 @@ int run_check() {
   for (const campaign::PolicyVariant& c : campaign::coverage_columns()) {
     columns.push_back(c);
   }
-  // Both caches pin memoization explicitly, so the check means the same
-  // thing under every PTAINT_ANALYSIS_CACHE setting.
   SummaryCache cached;
-  cached.set_enabled(true);
-  SummaryCache uncached;
-  uncached.set_enabled(false);
   int rc = 0;
   size_t compared = 0;
   size_t data_hits = 0;
@@ -151,9 +146,7 @@ int run_check() {
                                  (witnesses ? " (witnesses)" : "");
         const CachedAnalysis want = direct(cfg, column.policy, opts);
         const auto c = cached.analyze(program, column.policy, opts);
-        const auto u = uncached.analyze(program, column.policy, opts);
         if (!identical(what + " cached-vs-direct", cfg, *c, want)) rc = 1;
-        if (!identical(what + " uncached-vs-direct", cfg, *u, want)) rc = 1;
         if (cached.analyze(shared, column.policy, opts).get() != c.get()) {
           std::fprintf(stderr, "FAIL %s: shared lookup missed the entry\n",
                        what.c_str());
@@ -165,7 +158,6 @@ int run_check() {
     // A data-only variant keeps the key: same object, one more hit.
     if (program.data.empty()) continue;
     SummaryCache memo;
-    memo.set_enabled(true);
     const auto base = memo.analyze(program, columns.front().policy);
     asmgen::Program variant = program;
     variant.data.front() ^= 0xff;
@@ -177,8 +169,8 @@ int run_check() {
     }
     ++data_hits;
   }
-  std::printf("%zu app x column x witness cells compared (cached, uncached, "
-              "direct); %zu data-only variants hit\n",
+  std::printf("%zu app x column x witness cells compared (cached, direct); "
+              "%zu data-only variants hit\n",
               compared, data_hits);
   std::printf("%s\n", rc == 0 ? "bench_analysis --check: all identical"
                               : "bench_analysis --check: DIVERGENCE");
@@ -211,7 +203,6 @@ int run_timing(const std::string& json_path) {
     // Best of kReps, each on a fresh cache so every first lookup is cold.
     for (int rep = 0; rep < kReps; ++rep) {
       SummaryCache cache;
-      cache.set_enabled(true);
       auto t0 = Clock::now();
       (void)cache.analyze(program, policy, opts);
       row.cold_ms = std::min(row.cold_ms, ms_since(t0));

@@ -1,35 +1,35 @@
-// Snapshot restore throughput: COW delta restore vs full deep copy.
+// Snapshot restore throughput: delta restore vs switching restore.
 //
 // Part 1 — restore microbench.  Each SPEC surrogate boots once and is
 // snapshotted; a single machine then loops { run a slice (dirtying pages),
-// restore } under both memory modes.  Full-copy mode (MachineConfig::
-// no_cow) deep-copies every mapped page per restore; COW mode pays only
-// for the pages the slice dirtied (a delta restore).  Only the restore
-// calls are timed; each cell is the best of three repetitions.
+// restore } in two ways.  A delta restore goes back to the snapshot the
+// machine last restored from and pays only for the pages the slice
+// dirtied.  A switching restore alternates between the snapshot and a
+// page-sharing copy of it, so every restore is a full one: it shares
+// every mapped page and drops the decode caches, as a pooled machine does
+// when it changes snapshots.  Only the restore calls are timed; each cell
+// is the best of three repetitions.
 //
-// Part 2 — forked-campaign wall time.  The ablation campaign runs on the
-// parallel engine under both modes; verdicts must match exactly, and the
-// wall-time ratio shows what COW restores buy an end-to-end sweep.
-//
-// Part 3 — content-addressed store (DESIGN.md §13).  The ablation
+// Part 2 — content-addressed store (DESIGN.md §13).  The ablation
 // campaign runs store-backed; its key set interns every built snapshot's
 // pages, and the columns show what the store buys: page dedup ratio
 // across keys, store bytes per snapshot, RLE compression ratio once the
 // working set is evicted, and rehydration rates from each tier (hot
-// store pages, compressed images, disk files).
+// store pages, compressed images, disk files).  Its verdicts must match
+// a plain (store-less) run of the same campaign.
 //
 //   bench_snapshot_throughput [scale] [json-path]
 //   bench_snapshot_throughput --check
 //
 // Results go to `json-path` (default BENCH_snapshot.json) for
 // EXPERIMENTS.md and CI.  `--check` skips the timing reps and instead
-// verifies run-report identity between the modes: interleaved
-// restore/run/report cycles per workload, store dehydrate/hydrate
+// verifies run-report identity: interleaved restore/run/report cycles per
+// workload under delta and switching restores, store dehydrate/hydrate
 // round-trips (byte-identical pages, identical reports from every tier),
-// then the coverage campaign under {step, superblock} x {COW, full-copy}
-// plus store-backed legs on all three engines — exit 1 on any divergence
-// (made for the sanitizer CI legs, where timing is meaningless anyway;
-// the store legs use a self-contained temp-dir disk tier).
+// then the coverage campaign on step and superblock plus store-backed
+// legs on all three engines — exit 1 on any divergence (made for the
+// sanitizer CI legs, where timing is meaningless anyway; the store legs
+// use a self-contained temp-dir disk tier).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -44,7 +44,6 @@
 #include "campaign/campaigns.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/snapshot_cache.hpp"
-#include "core/settings.hpp"
 #include "core/snapshot_io.hpp"
 #include "core/spec_workloads.hpp"
 #include "mem/page_store.hpp"
@@ -60,7 +59,7 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// One workload's restore-rate measurement for one memory mode.
+/// One workload's restore-rate measurement for one restore kind.
 struct RestoreCell {
   double restores_per_s = 0.0;
   uint64_t dirty_pages = 0;   // pages the inter-restore slice dirtied
@@ -70,20 +69,29 @@ struct RestoreCell {
 constexpr int kRestores = 200;        // restores per repetition
 constexpr uint64_t kSlice = 50'000;   // guest instructions between restores
 
-RestoreCell measure_restores(const MachineSnapshot& snap, bool no_cow,
+/// The snapshot the i-th restore of a sequence goes to: always `snap` for
+/// delta restores; alternately `alt` (a page-sharing copy of `snap`) and
+/// `snap` for switching restores, so none of them can take the delta path.
+const MachineSnapshot& restore_target(const MachineSnapshot& snap,
+                                      const MachineSnapshot& alt,
+                                      bool switching, int i) {
+  return switching && i % 2 == 0 ? alt : snap;
+}
+
+RestoreCell measure_restores(const MachineSnapshot& snap, bool switching,
                              int reps) {
+  const MachineSnapshot alt = snap;
   RestoreCell cell;
   for (int rep = 0; rep < reps; ++rep) {
-    MachineConfig cfg;
-    cfg.no_cow = no_cow;
-    Machine machine(cfg);
-    machine.restore(snap);  // first restore is full under either mode
+    Machine machine;
+    machine.restore(snap);  // the first restore is a full one either way
     double restore_s = 0.0;
     for (int i = 0; i < kRestores; ++i) {
       machine.run_for(kSlice);
       cell.dirty_pages = machine.memory().dirty_page_count();
+      const MachineSnapshot& target = restore_target(snap, alt, switching, i);
       const auto t0 = Clock::now();
-      machine.restore(snap);
+      machine.restore(target);
       restore_s += seconds_since(t0);
     }
     cell.restores_per_s =
@@ -93,8 +101,8 @@ RestoreCell measure_restores(const MachineSnapshot& snap, bool no_cow,
   return cell;
 }
 
-/// Fingerprint of a run's observable outcome; COW and full-copy modes must
-/// never disagree on it.
+/// Fingerprint of a run's observable outcome; delta and switching restores
+/// must never disagree on it.
 std::string report_fingerprint(const RunReport& r) {
   std::ostringstream ss;
   ss << static_cast<int>(r.stop) << "|" << r.exit_status << "|"
@@ -104,22 +112,31 @@ std::string report_fingerprint(const RunReport& r) {
 }
 
 /// --check leg 1: interleaved restore/run/report cycles must produce the
-/// same report sequence under COW and full-copy memory.
+/// same report sequence under delta and switching restores.
 bool check_restore_identity(const SpecWorkload& w,
                             const MachineSnapshot& snap) {
+  const MachineSnapshot alt = snap;
   std::vector<std::string> prints[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    MachineConfig cfg;
-    cfg.no_cow = mode == 1;
-    Machine machine(cfg);
+  uint64_t deltas[2] = {0, 0};
+  for (const bool switching : {false, true}) {
+    Machine machine;
     for (int i = 0; i < 6; ++i) {
-      machine.restore(snap);
+      machine.restore(restore_target(snap, alt, switching, i));
       machine.run_for(kSlice * (1 + i % 3));  // vary the dirtied set
-      prints[mode].push_back(report_fingerprint(machine.report()));
+      prints[switching].push_back(report_fingerprint(machine.report()));
     }
+    deltas[switching] = machine.memory().cow_stats().delta_restores;
+  }
+  // All but the first restore of the delta sequence are deltas; none of
+  // the switching sequence is.
+  if (deltas[0] != 5 || deltas[1] != 0) {
+    std::fprintf(stderr, "%s: %llu/%llu delta restores, expected 5/0\n",
+                 w.name.c_str(), static_cast<unsigned long long>(deltas[0]),
+                 static_cast<unsigned long long>(deltas[1]));
+    return false;
   }
   if (prints[0] == prints[1]) return true;
-  std::fprintf(stderr, "%s: COW and full-copy runs diverge\n",
+  std::fprintf(stderr, "%s: delta and switching restores diverge\n",
                w.name.c_str());
   return false;
 }
@@ -127,7 +144,7 @@ bool check_restore_identity(const SpecWorkload& w,
 /// Runs the named campaign on the parallel engine; returns wall seconds.
 /// With `store`, the snapshot cache is store-backed and `store_stats`
 /// (when non-null) receives its final statistics.
-double run_campaign(const std::string& name, bool no_cow,
+double run_campaign(const std::string& name,
                     std::optional<cpu::Engine> engine,
                     std::vector<campaign::JobResult>& out,
                     const campaign::StoreOptions* store = nullptr,
@@ -139,18 +156,9 @@ double run_campaign(const std::string& name, bool no_cow,
     campaign::Executor::Config config;
     config.workers = 4;
     campaign::Executor executor(config);
-    std::vector<campaign::Job> jobs =
+    const std::vector<campaign::Job> jobs =
         campaign::make_jobs(name, cache, /*spec_scale=*/1, /*elide=*/false,
                             engine);
-    if (no_cow) {
-      for (campaign::Job& job : jobs) {
-        job.make_config = [make = std::move(job.make_config)]() {
-          MachineConfig cfg = make();
-          cfg.no_cow = true;
-          return cfg;
-        };
-      }
-    }
     const auto t0 = Clock::now();
     out = executor.run(jobs);
     s = seconds_since(t0);
@@ -214,7 +222,6 @@ bool check_store_identity(const SpecWorkload& w) {
   bool ok = true;
   {
     mem::PageStore::Config sc;
-    sc.hot_page_budget = 1u << 16;
     sc.disk_dir = dir;
     mem::PageStore store(std::move(sc));
     auto stored = core::dehydrate_snapshot(snap, store);
@@ -277,26 +284,23 @@ int run_check() {
     }
     ok = check_store_identity(w) && ok;
   }
-  // Coverage campaign under every engine x memory-mode combination; all
-  // four verdict vectors must agree with the first.
+  // Coverage campaign on step and superblock; both verdict vectors must
+  // agree with a first step run.
   std::vector<campaign::JobResult> reference;
-  run_campaign("coverage", /*no_cow=*/false, cpu::Engine::kStep, reference);
+  run_campaign("coverage", cpu::Engine::kStep, reference);
   for (const cpu::Engine engine :
        {cpu::Engine::kStep, cpu::Engine::kSuperblock}) {
-    for (const bool no_cow : {false, true}) {
-      std::vector<campaign::JobResult> results;
-      run_campaign("coverage", no_cow, engine, results);
-      const std::vector<std::string> diffs =
-          campaign::diff_verdicts(results, reference);
-      if (!diffs.empty()) {
-        std::fprintf(stderr, "coverage (%s, %s) diverges:\n",
-                     cpu::to_string(engine),
-                     no_cow ? "full-copy" : "cow");
-        for (const std::string& d : diffs) {
-          std::fprintf(stderr, "  %s\n", d.c_str());
-        }
-        ok = false;
+    std::vector<campaign::JobResult> results;
+    run_campaign("coverage", engine, results);
+    const std::vector<std::string> diffs =
+        campaign::diff_verdicts(results, reference);
+    if (!diffs.empty()) {
+      std::fprintf(stderr, "coverage (%s) diverges:\n",
+                   cpu::to_string(engine));
+      for (const std::string& d : diffs) {
+        std::fprintf(stderr, "  %s\n", d.c_str());
       }
+      ok = false;
     }
   }
   // Store-backed coverage legs on all three engines, with an aggressive
@@ -311,7 +315,7 @@ int run_check() {
     sopts.disk_dir = store_dir;
     std::vector<campaign::JobResult> results;
     campaign::SnapshotCache::Stats cs;
-    run_campaign("coverage", /*no_cow=*/false, engine, results, &sopts, &cs);
+    run_campaign("coverage", engine, results, &sopts, &cs);
     const std::vector<std::string> diffs =
         campaign::diff_verdicts(results, reference);
     if (!diffs.empty()) {
@@ -328,7 +332,8 @@ int run_check() {
     }
   }
   std::filesystem::remove_all(store_dir);
-  std::printf("check: COW and full-copy memory are observably identical: %s\n",
+  std::printf("check: delta and switching restores are observably "
+              "identical: %s\n",
               ok ? "yes" : "NO");
   std::printf("check: store-backed restores byte- and verdict-identical on "
               "step, superblock and jit: %s\n",
@@ -344,18 +349,12 @@ int main(int argc, char** argv) {
   const int scale = argc > 1 ? std::atoi(argv[1]) : 1;
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_snapshot.json";
   constexpr int kReps = 3;
-  if (core::settings().no_cow) {
-    std::fprintf(stderr, "PTAINT_NO_COW=1 makes every mode full-copy; unset "
-                         "it to measure COW\n");
-    return 4;
-  }
 
   std::printf(
-      "== Snapshot restore throughput: COW delta vs full copy (scale %d) "
-      "==\n\n",
+      "== Snapshot restore throughput: delta vs switching (scale %d) ==\n\n",
       scale);
   std::printf("%-8s %7s %7s %14s %14s %8s\n", "program", "pages", "dirty",
-              "full rest/s", "cow rest/s", "speedup");
+              "switch rest/s", "delta rest/s", "speedup");
 
   std::string json = "{\n  \"scale\": " + std::to_string(scale) +
                      ",\n  \"workloads\": [\n";
@@ -365,27 +364,31 @@ int main(int argc, char** argv) {
   for (const auto& w : make_spec_workloads(scale)) {
     const auto machine = prepare_spec_workload(w, {});
     const MachineSnapshot snap = machine->snapshot();
-    const RestoreCell full = measure_restores(snap, /*no_cow=*/true, kReps);
-    const RestoreCell cow = measure_restores(snap, /*no_cow=*/false, kReps);
+    const RestoreCell switching =
+        measure_restores(snap, /*switching=*/true, kReps);
+    const RestoreCell delta =
+        measure_restores(snap, /*switching=*/false, kReps);
     const double speedup =
-        full.restores_per_s > 0 ? cow.restores_per_s / full.restores_per_s
-                                : 0.0;
+        switching.restores_per_s > 0
+            ? delta.restores_per_s / switching.restores_per_s
+            : 0.0;
     geomean *= speedup;
     ++rows;
     std::printf("%-8s %7llu %7llu %14.0f %14.0f %7.2fx\n", w.name.c_str(),
-                static_cast<unsigned long long>(cow.mapped_pages),
-                static_cast<unsigned long long>(cow.dirty_pages),
-                full.restores_per_s, cow.restores_per_s, speedup);
+                static_cast<unsigned long long>(delta.mapped_pages),
+                static_cast<unsigned long long>(delta.dirty_pages),
+                switching.restores_per_s, delta.restores_per_s, speedup);
 
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"name\": \"%s\", \"mapped_pages\": %llu, "
-                  "\"dirty_pages\": %llu, \"full_restores_per_s\": %.0f, "
-                  "\"cow_restores_per_s\": %.0f, \"speedup\": %.3f},\n",
+                  "\"dirty_pages\": %llu, "
+                  "\"switching_restores_per_s\": %.0f, "
+                  "\"delta_restores_per_s\": %.0f, \"speedup\": %.3f},\n",
                   w.name.c_str(),
-                  static_cast<unsigned long long>(cow.mapped_pages),
-                  static_cast<unsigned long long>(cow.dirty_pages),
-                  full.restores_per_s, cow.restores_per_s, speedup);
+                  static_cast<unsigned long long>(delta.mapped_pages),
+                  static_cast<unsigned long long>(delta.dirty_pages),
+                  switching.restores_per_s, delta.restores_per_s, speedup);
     json += buf;
   }
 
@@ -396,41 +399,14 @@ int main(int argc, char** argv) {
   }
   json += "  ],\n  \"geomean_restore_speedup\": " + std::to_string(gm);
 
-  // Part 2: the ablation campaign end to end, both modes, verdicts diffed.
-  std::vector<campaign::JobResult> cow_results, full_results;
-  double cow_s = 1e300, full_s = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    cow_s = std::min(cow_s, run_campaign("ablation", false, {}, cow_results));
-    full_s =
-        std::min(full_s, run_campaign("ablation", true, {}, full_results));
-  }
-  const std::vector<std::string> diffs =
-      campaign::diff_verdicts(cow_results, full_results);
-  if (!diffs.empty()) {
-    std::fprintf(stderr, "ablation verdicts differ between COW and "
-                         "full-copy memory:\n");
-    for (const std::string& d : diffs) {
-      std::fprintf(stderr, "  %s\n", d.c_str());
-    }
-    return 1;
-  }
-  const double campaign_speedup = cow_s > 0 ? full_s / cow_s : 0.0;
-  std::printf("ablation campaign: full %.2fs vs cow %.2fs (%.2fx), "
-              "%zu verdicts identical\n",
-              full_s, cow_s, campaign_speedup, cow_results.size());
-
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                ",\n  \"campaign\": {\"name\": \"ablation\", "
-                "\"full_s\": %.3f, \"cow_s\": %.3f, \"speedup\": %.3f}",
-                full_s, cow_s, campaign_speedup);
-  json += buf;
-
-  // Part 3: the same ablation campaign, store-backed.  One live cache so
-  // the store survives the run: the key set (shared boots x policy
+  // Part 2: the ablation campaign, plain and then store-backed.  The plain
+  // run is the verdict reference.  One live cache for the store-backed run
+  // so the store survives it: the key set (shared boots x policy
   // variants) interns into it, and afterwards we force the eviction tiers
   // on the final page population to measure compression and per-tier
   // rehydration rates.
+  std::vector<campaign::JobResult> plain_results;
+  const double plain_s = run_campaign("ablation", {}, plain_results);
   campaign::StoreOptions sopts;
   sopts.enabled = true;
   campaign::SnapshotCache scache(sopts);
@@ -447,7 +423,7 @@ int main(int argc, char** argv) {
     store_s = seconds_since(t0);
   }
   const std::vector<std::string> sdiffs =
-      campaign::diff_verdicts(store_results, cow_results);
+      campaign::diff_verdicts(store_results, plain_results);
   if (!sdiffs.empty()) {
     std::fprintf(stderr,
                  "ablation verdicts differ between plain and store-backed "
@@ -477,9 +453,10 @@ int main(int argc, char** argv) {
           ? static_cast<double>(ps.uncompressed_bytes) / ps.compressed_bytes
           : 0.0;
   std::printf(
-      "ablation store-backed: %.2fs, %llu refs -> %llu canonical pages "
-      "(%.2fx dedup), %.1f KiB/snapshot, %.2fx RLE compression\n",
-      store_s, static_cast<unsigned long long>(cs.store.interned_refs),
+      "ablation store-backed: %.2fs (plain %.2fs), %llu refs -> %llu "
+      "canonical pages (%.2fx dedup), %.1f KiB/snapshot, %.2fx RLE "
+      "compression\n",
+      store_s, plain_s, static_cast<unsigned long long>(cs.store.interned_refs),
       static_cast<unsigned long long>(cs.store.canonical_pages), dedup,
       bytes_per_snapshot / 1024.0, compression);
 
@@ -529,13 +506,15 @@ int main(int argc, char** argv) {
   char sbuf[768];
   std::snprintf(
       sbuf, sizeof(sbuf),
-      ",\n  \"store\": {\"campaign_s\": %.3f, \"canonical_pages\": %llu, "
+      ",\n  \"store\": {\"campaign_s\": %.3f, \"plain_campaign_s\": %.3f, "
+      "\"canonical_pages\": %llu, "
       "\"interned_refs\": %llu, \"dedup_ratio\": %.3f, "
       "\"bytes_per_snapshot\": %.0f, \"uncompressed_bytes\": %llu, "
       "\"compressed_bytes\": %llu, \"compression_ratio\": %.3f, "
       "\"hydrate_hot_per_s\": %.0f, \"hydrate_compressed_per_s\": %.0f, "
       "\"hydrate_disk_per_s\": %.0f}\n}\n",
-      store_s, static_cast<unsigned long long>(cs.store.canonical_pages),
+      store_s, plain_s,
+      static_cast<unsigned long long>(cs.store.canonical_pages),
       static_cast<unsigned long long>(cs.store.interned_refs), dedup,
       bytes_per_snapshot, static_cast<unsigned long long>(ps.uncompressed_bytes),
       static_cast<unsigned long long>(ps.compressed_bytes), compression,

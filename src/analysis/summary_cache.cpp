@@ -4,7 +4,6 @@
 
 #include "analysis/cfg.hpp"
 #include "asmgen/program_memo.hpp"
-#include "core/settings.hpp"
 
 namespace ptaint::analysis {
 
@@ -83,30 +82,18 @@ std::string CacheStats::json(bool include_timing) const {
   return s;
 }
 
-SummaryCache::SummaryCache() : enabled_(core::settings().analysis_cache) {}
-
 SummaryCache& SummaryCache::instance() {
   static SummaryCache cache;
   return cache;
-}
-
-bool SummaryCache::enabled() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return enabled_;
-}
-
-void SummaryCache::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lk(mu_);
-  enabled_ = on;
 }
 
 CacheStats SummaryCache::stats() const {
   const auto m = memo_.stats();
   std::lock_guard<std::mutex> lk(mu_);
   CacheStats s;
-  s.lookups = m.lookups + uncached_;
+  s.lookups = m.lookups;
   s.hits = m.hits;
-  s.cold_misses = m.builds + uncached_;
+  s.cold_misses = m.builds;
   s.evictions = m.evictions;
   s.analysis_micros = analysis_micros_;
   s.entries = m.entries;
@@ -128,7 +115,7 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::analyze(
 std::shared_ptr<const CachedAnalysis> SummaryCache::lookup(
     const asmgen::Program& program, uint64_t digest,
     const cpu::TaintPolicy& policy, const VsaOptions& options) {
-  const auto analyze_now = [&] {
+  return memo_.get({digest, policy_hash(policy, options)}, [&] {
     const auto t0 = std::chrono::steady_clock::now();
     const Cfg cfg(program);
     auto result = std::make_shared<CachedAnalysis>();
@@ -141,15 +128,7 @@ std::shared_ptr<const CachedAnalysis> SummaryCache::lookup(
     std::lock_guard<std::mutex> lk(mu_);
     analysis_micros_ += static_cast<uint64_t>(micros);
     return std::shared_ptr<const CachedAnalysis>(std::move(result));
-  };
-  bool memoize = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    memoize = enabled_;
-    if (!memoize) ++uncached_;
-  }
-  if (!memoize) return analyze_now();
-  return memo_.get({digest, policy_hash(policy, options)}, analyze_now);
+  });
 }
 
 }  // namespace ptaint::analysis

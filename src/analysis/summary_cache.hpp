@@ -20,9 +20,9 @@
 // program under a different Table 1 configuration is a different entry.
 // Any text change is a full miss; there is no partial reuse.
 //
-// Memoization defaults to on; PTAINT_ANALYSIS_CACHE=0 turns it off for
-// every cache in the process (the CI identity leg diffs that against cached
-// runs), and set_enabled(false) turns it off for one cache.
+// Memoization is always on.  The uncached reference — Cfg recovery and a
+// direct analyze_vsa — stays in the tests and in bench_analysis --check,
+// which pin every cached result equal to it.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,6 @@ class SummaryCache {
   /// The process-wide instance every consumer shares.
   static SummaryCache& instance();
 
-  SummaryCache();
-
   /// Hashes the program's code on every call: a value Program may have
   /// been mutated since it was last seen.
   std::shared_ptr<const CachedAnalysis> analyze(
@@ -89,11 +87,6 @@ class SummaryCache {
 
   CacheStats stats() const;
 
-  /// Memoization on (default: PTAINT_ANALYSIS_CACHE).  When off, analyze()
-  /// still computes and returns the same result object, uncached.
-  bool enabled() const;
-  void set_enabled(bool on);
-
  private:
   std::shared_ptr<const CachedAnalysis> lookup(const asmgen::Program& program,
                                                uint64_t digest,
@@ -103,9 +96,7 @@ class SummaryCache {
   /// (code digest, policy hash) -> result set.
   util::Memo<std::pair<uint64_t, uint64_t>, CachedAnalysis> memo_{kCapacity};
 
-  mutable std::mutex mu_;  // guards the three members below
-  bool enabled_;
-  uint64_t uncached_ = 0;  // analyses run with memoization off
+  mutable std::mutex mu_;  // guards analysis_micros_
   uint64_t analysis_micros_ = 0;
 };
 

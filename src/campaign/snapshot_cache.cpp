@@ -57,7 +57,6 @@ SnapshotCache::SnapshotCache(const StoreOptions& options)
                            : decltype(hot_)::kUnbounded) {
   if (!options_.enabled) return;
   mem::PageStore::Config config;
-  config.hot_page_budget = options_.hot_pages;
   config.disk_dir = options_.disk_dir;
   store_ = std::make_unique<mem::PageStore>(std::move(config));
   if (!options_.disk_dir.empty()) load_disk_blobs();

@@ -42,8 +42,6 @@ struct StoreOptions {
   /// Hydrated snapshots kept per cache; least-recently-used entries beyond
   /// this are dropped to their dehydrated (store-page) form.
   size_t hot_snapshots = 32;
-  /// Materialized-page budget of the underlying PageStore.
-  size_t hot_pages = 1u << 16;
   /// Disk-tier directory (empty = memory-only store).  One live cache per
   /// directory: two processes sharing a directory concurrently is
   /// unsupported (the write-behind files would race).

@@ -23,7 +23,6 @@ std::string RunReport::alert_line() const {
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
       program_(std::make_shared<const asmgen::Program>()) {
-  no_cow_ = config_.no_cow || settings().no_cow;
   os_ = std::make_unique<os::SimOs>();
   cpu_ = std::make_unique<cpu::Cpu>(memory_, config_.policy);
   cpu_->set_os(os_.get());
@@ -190,16 +189,12 @@ void Machine::apply_may_publish(bool strict) {
 MachineSnapshot Machine::snapshot() {
   MachineSnapshot s;
   s.program = program_;
-  if (no_cow_) {
-    s.memory.deep_copy_from(memory_);  // debugging: no page sharing at all
-  } else {
-    s.memory = memory_;  // shares every page copy-on-write
-    // The machine and the snapshot are page-identical right now; track the
-    // divergence so restoring *back* to this snapshot is a delta.  Moves of
-    // the snapshot (returning it, stashing it in a cache) preserve the
-    // memory identity the tracking refers to.
-    memory_.track_against(s.memory);
-  }
+  s.memory = memory_;  // shares every page copy-on-write
+  // The machine and the snapshot are page-identical right now; track the
+  // divergence so restoring *back* to this snapshot is a delta.  Moves of
+  // the snapshot (returning it, stashing it in a cache) preserve the
+  // memory identity the tracking refers to.
+  memory_.track_against(s.memory);
   s.cpu = cpu_->save_state();
   s.os = *os_;
   if (pipeline_) s.pipeline = *pipeline_;
@@ -208,8 +203,8 @@ MachineSnapshot Machine::snapshot() {
 
 void Machine::restore(const MachineSnapshot& snapshot) {
   bool caches_kept = false;
-  std::optional<std::vector<uint32_t>> reverted;
-  if (!no_cow_) reverted = memory_.delta_restore(snapshot.memory);
+  const std::optional<std::vector<uint32_t>> reverted =
+      memory_.delta_restore(snapshot.memory);
   if (reverted) {
     // Delta path: the memory already matched the snapshot except on the
     // reverted pages, and the program is unchanged (load_program forgets
@@ -225,11 +220,7 @@ void Machine::restore(const MachineSnapshot& snapshot) {
     }
   } else {
     program_ = snapshot.program;
-    if (no_cow_) {
-      memory_.deep_copy_from(snapshot.memory);
-    } else {
-      memory_ = snapshot.memory;  // share pages; snapshot becomes the base
-    }
+    memory_ = snapshot.memory;  // share pages; snapshot becomes the base
     cpu_->restore_state(snapshot.cpu);
   }
   *os_ = snapshot.os;

@@ -52,12 +52,6 @@ struct MachineConfig {
   /// falls back to superblock on hosts that cannot run emitted code.
   std::optional<cpu::Engine> engine;
 
-  /// Debugging escape hatch for the copy-on-write snapshot machinery
-  /// (DESIGN.md §10): force full deep-copy snapshot/restore, exactly the
-  /// pre-COW semantics.  PTAINT_NO_COW=1 turns it on process-wide; either
-  /// source wins.
-  bool no_cow = false;
-
   /// §5.3-style escape hatch for the address-leak direction: names of
   /// guest functions that legitimately publish pointers (a %p debug
   /// printer, a handle-shipping protocol).  Kernel-output leak checks at
@@ -126,8 +120,8 @@ struct RunReport {
 /// snapshot and restoring one cost O(mapped pages) pointer copies, a
 /// machine restored *again* from the same snapshot pays only for the pages
 /// it dirtied, and N forked machines share one immutable page set.
-/// Observable behaviour is identical to a deep copy; PTAINT_NO_COW=1 (or
-/// MachineConfig::no_cow) forces actual deep copies for debugging.
+/// Observable behaviour is identical to a deep copy; the snapshot tests pin
+/// that against a freshly booted machine.
 ///
 /// The program is an immutable shared value (asmgen/program_memo.hpp): a
 /// snapshot, the machine it came from and every machine restored from it
@@ -230,7 +224,6 @@ class Machine {
   void apply_may_publish(bool strict);
 
   MachineConfig config_;
-  bool no_cow_ = false;  // config_.no_cow || PTAINT_NO_COW
   mem::TaintedMemory memory_;
   std::unique_ptr<os::SimOs> os_;
   std::unique_ptr<cpu::Cpu> cpu_;

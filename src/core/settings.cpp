@@ -34,9 +34,7 @@ Settings parse_settings(
     if (!engine) reject("PTAINT_ENGINE", v, "step, superblock or jit");
     s.engine = *engine;
   }
-  flag("PTAINT_NO_COW", s.no_cow);
   flag("PTAINT_JIT_FORCE_UNSUPPORTED", s.jit_force_unsupported);
-  flag("PTAINT_ANALYSIS_CACHE", s.analysis_cache);
   flag("PTAINT_SNAPSHOT_STORE", s.snapshot_store);
   if (const char* v = get("PTAINT_SNAPSHOT_DIR")) s.snapshot_dir = v;
   if (const char* v = get("PTAINT_SNAPSHOT_HOT")) {

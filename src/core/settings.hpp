@@ -3,7 +3,7 @@
 // parse_settings sees the environment only through `lookup`, so tests hand
 // it a fake; settings() parses the real one on first use, fixed for the
 // life of the process.  Code that needs another value passes it explicitly
-// (MachineConfig, StoreOptions, SummaryCache::set_enabled).
+// (MachineConfig, StoreOptions).
 #pragma once
 
 #include <cstddef>
@@ -17,9 +17,7 @@ namespace ptaint::core {
 
 struct Settings {
   cpu::Engine engine = cpu::Engine::kSuperblock;  // PTAINT_ENGINE
-  bool no_cow = false;                            // PTAINT_NO_COW
   bool jit_force_unsupported = false;  // PTAINT_JIT_FORCE_UNSUPPORTED
-  bool analysis_cache = true;          // PTAINT_ANALYSIS_CACHE
   bool snapshot_store = false;         // PTAINT_SNAPSHOT_STORE
   std::string snapshot_dir;            // PTAINT_SNAPSHOT_DIR
   std::optional<size_t> snapshot_hot;  // PTAINT_SNAPSHOT_HOT

@@ -82,7 +82,6 @@ void TaintedMemory::deep_copy_from(const TaintedMemory& other) {
   wmemo_index_ = kNoPage;
   wmemo_page_ = nullptr;
   qstats_ = {};
-  ++cstats_.deep_copies;
 }
 
 std::optional<std::vector<uint32_t>> TaintedMemory::delta_restore(

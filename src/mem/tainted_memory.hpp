@@ -231,8 +231,8 @@ class TaintedMemory {
   uint64_t id() const { return id_; }
 
   /// Forces an actual deep copy — private pages, no sharing, no delta
-  /// tracking.  The PTAINT_NO_COW debugging path and the reference
-  /// implementation the COW tests cross-check against.
+  /// tracking.  The reference implementation the COW tests and the
+  /// snapshot bench cross-check against.
   void deep_copy_from(const TaintedMemory& other);
 
   /// Delta restore: if this memory was last copied from `base` (same id),
@@ -296,7 +296,6 @@ class TaintedMemory {
   /// over this object's lifetime, never part of architectural state.
   struct CowStats {
     uint64_t shares = 0;          // full-copy restores served by sharing
-    uint64_t deep_copies = 0;     // forced full deep copies (PTAINT_NO_COW)
     uint64_t cow_breaks = 0;      // shared pages cloned by a first write
     uint64_t delta_restores = 0;  // restores served by the dirty-page delta
     uint64_t pages_delta_restored = 0;  // dirty pages dropped back to shared

@@ -228,7 +228,9 @@ double JsonValue::as_number() const {
 
 uint64_t JsonValue::as_u64() const {
   const double d = as_number();
-  if (d < 0 || d != std::floor(d)) throw JsonError("not a u64");
+  if (d < 0 || d != std::floor(d) || d >= 18446744073709551616.0) {
+    throw JsonError("not a u64");  // 2^64 and up would overflow the cast
+  }
   return static_cast<uint64_t>(d);
 }
 

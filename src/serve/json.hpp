@@ -52,7 +52,7 @@ class JsonValue {
   /// Typed accessors; throw JsonError on a kind mismatch.
   bool as_bool() const;
   double as_number() const;
-  uint64_t as_u64() const;  // number, rejected if negative or fractional
+  uint64_t as_u64() const;  // number; rejects < 0, fractional, >= 2^64
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
 

@@ -60,6 +60,9 @@ JobSpec JobSpec::from_json(const JsonValue& v) {
   if (spec.app.empty() || spec.payload.empty()) {
     throw std::invalid_argument("job spec needs \"app\" and \"payload\"");
   }
+  if (spec.timeout_ms > kMaxTimeoutMs) {
+    throw std::invalid_argument("\"timeout_ms\" exceeds one day");
+  }
   if (spec.tenant.empty()) spec.tenant = "default";
   return spec;
 }
@@ -99,10 +102,10 @@ void JobQueue::replay() {
       continue;
     }
     const std::string kind = rec.get_string("rec");
-    const uint64_t id = rec.get_u64("id");
-    if (id == 0) continue;
-    if (id >= next_id_) next_id_ = id + 1;
     try {
+      const uint64_t id = rec.get_u64("id");
+      if (id == 0) continue;
+      if (id >= next_id_) next_id_ = id + 1;
       if (kind == "submit") {
         if (const JsonValue* spec = rec.get("spec")) {
           submits.emplace_back(id, JobSpec::from_json(*spec));

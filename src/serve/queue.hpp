@@ -42,6 +42,10 @@ struct JobSpec {
   uint64_t max_instructions = 0;     // 0 = job-kind default
   uint64_t timeout_ms = 0;           // 0 = daemon default
 
+  /// Largest accepted timeout_ms (one day): far larger values would
+  /// overflow the worker's deadline arithmetic.
+  static constexpr uint64_t kMaxTimeoutMs = 24 * 60 * 60 * 1000;
+
   /// One-line JSON object, parseable by from_json (journal `spec` field).
   std::string to_json() const;
   /// Throws JsonError / std::invalid_argument on missing or bad fields.

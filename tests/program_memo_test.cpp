@@ -158,7 +158,6 @@ TEST(ProgramMemoTest, SharedProgramCarriesItsDigestIntoTheSummaryCache) {
   EXPECT_EQ(code_digest(shared), code_digest(*shared));
 
   analysis::SummaryCache cache;
-  cache.set_enabled(true);
   const auto by_value = cache.analyze(*shared, cpu::TaintPolicy{});
   const auto by_pointer = cache.analyze(shared, cpu::TaintPolicy{});
   EXPECT_EQ(by_value.get(), by_pointer.get());

@@ -72,7 +72,12 @@ TEST(ServeJson, RejectsNestingBeyondTheDepthLimit) {
 TEST(ServeJson, U64RejectsNegativeAndFractional) {
   EXPECT_THROW(JsonValue::parse("-3").as_u64(), JsonError);
   EXPECT_THROW(JsonValue::parse("1.5").as_u64(), JsonError);
+  EXPECT_THROW(JsonValue::parse("1e300").as_u64(), JsonError);
+  EXPECT_THROW(JsonValue::parse("18446744073709551616").as_u64(), JsonError);
   EXPECT_EQ(JsonValue::parse("42").as_u64(), 42u);
+  // The largest double below 2^64 still converts.
+  EXPECT_EQ(JsonValue::parse("18446744073709549568").as_u64(),
+            18446744073709549568u);
 }
 
 TEST(ServeJson, GetHelpersFallBack) {
@@ -267,6 +272,23 @@ TEST(ServeQueue, ReplaySkipsTornFinalLine) {
   EXPECT_EQ(revived.status().replayed, 1u);
   EXPECT_EQ(revived.state(a), JobQueue::State::kQueued);
   EXPECT_EQ(revived.state(99), JobQueue::State::kUnknown);
+}
+
+TEST(ServeQueue, ReplaySkipsRecordsWithMalformedIds) {
+  const std::string journal = temp_journal("badid");
+  {
+    std::ofstream out(journal, std::ios::binary);
+    out << "{\"rec\": \"done\", \"id\": -1, \"result\": {}}\n"
+        << "{\"rec\": \"submit\", \"id\": 7, \"spec\": "
+        << attack_spec("t").to_json() << "}\n";
+  }
+  JobQueue revived({journal, 0});
+  EXPECT_EQ(revived.status().replayed, 1u);
+  EXPECT_EQ(revived.status().total.queued, 1u);
+  EXPECT_EQ(revived.state(7), JobQueue::State::kQueued);
+  const auto got = revived.acquire();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 7u);
 }
 
 TEST(ServeQueue, StopUnblocksAcquireAndClosesSubmissions) {
@@ -557,6 +579,23 @@ TEST_F(ServeDaemonTest, BadSpecYieldsHarnessErrorVerdictNotDeadShard) {
   ASSERT_TRUE(good.has_value());
   EXPECT_NE(good->find("DETECTED"), std::string::npos);
   EXPECT_EQ(daemon_->stats().jobs_failed, 1u);
+}
+
+TEST_F(ServeDaemonTest, TimeoutBeyondOneDayIsAnErrorWithNoJobId) {
+  boot();
+  Client client(config_.socket_path);
+  const std::string reply = client.request(
+      "{\"cmd\": \"submit\", \"job\": {\"app\": \"spec\", "
+      "\"payload\": \"GCC\", \"timeout_ms\": 4611686018427387904}}");
+  EXPECT_NE(reply.find("\"event\": \"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("timeout_ms"), std::string::npos) << reply;
+  EXPECT_EQ(reply.find("\"ids\""), std::string::npos) << reply;
+  // Nothing reached the queue.
+  const JsonValue status =
+      JsonValue::parse(client.request("{\"cmd\": \"status\"}"));
+  EXPECT_EQ(status.get_u64("queued") + status.get_u64("running") +
+                status.get_u64("done"),
+            0u);
 }
 
 TEST_F(ServeDaemonTest, StatusExposesQueueAndSnapshotCacheCounters) {

@@ -34,9 +34,7 @@ std::string error_of(const std::map<std::string, std::string>& env) {
 TEST(Settings, EmptyEnvironmentGivesTheDefaults) {
   const Settings s = parse({});
   EXPECT_EQ(s.engine, cpu::Engine::kSuperblock);
-  EXPECT_FALSE(s.no_cow);
   EXPECT_FALSE(s.jit_force_unsupported);
-  EXPECT_TRUE(s.analysis_cache);
   EXPECT_FALSE(s.snapshot_store);
   EXPECT_EQ(s.snapshot_dir, "");
   EXPECT_FALSE(s.snapshot_hot.has_value());
@@ -65,8 +63,7 @@ TEST(Settings, BooleansFollowOneRule) {
     const char* name;
     bool Settings::*field;
   };
-  for (const Flag& f : {Flag{"PTAINT_NO_COW", &Settings::no_cow},
-                        Flag{"PTAINT_JIT_FORCE_UNSUPPORTED",
+  for (const Flag& f : {Flag{"PTAINT_JIT_FORCE_UNSUPPORTED",
                              &Settings::jit_force_unsupported},
                         Flag{"PTAINT_SNAPSHOT_STORE",
                              &Settings::snapshot_store}}) {
@@ -81,13 +78,6 @@ TEST(Settings, BooleansFollowOneRule) {
           << err;
     }
   }
-}
-
-TEST(Settings, AnalysisCacheDefaultsOnAndTurnsOffWithZero) {
-  EXPECT_TRUE(parse({{"PTAINT_ANALYSIS_CACHE", ""}}).analysis_cache);
-  EXPECT_TRUE(parse({{"PTAINT_ANALYSIS_CACHE", "1"}}).analysis_cache);
-  EXPECT_FALSE(parse({{"PTAINT_ANALYSIS_CACHE", "0"}}).analysis_cache);
-  EXPECT_NE(error_of({{"PTAINT_ANALYSIS_CACHE", "off"}}), "");
 }
 
 TEST(Settings, SnapshotHotIsAStrictDecimalCount) {

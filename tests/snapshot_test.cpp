@@ -14,16 +14,10 @@
 
 #include "core/attack.hpp"
 #include "core/machine.hpp"
-#include "core/settings.hpp"
 #include "core/spec_workloads.hpp"
 
 namespace ptaint::core {
 namespace {
-
-/// True when the PTAINT_NO_COW escape hatch is on: every restore is a deep
-/// copy, so assertions about sharing/delta counters must be skipped (the
-/// behavioural assertions still hold — that is the point of the hatch).
-bool cow_disabled() { return settings().no_cow; }
 
 /// Everything observable about a finished run, as one comparable string.
 std::string fingerprint(const RunReport& r) {
@@ -173,19 +167,15 @@ TEST(Snapshot, RepeatedRestoreTakesDeltaPathWithMatchingRollups) {
   const uint64_t armed_tainted = snap.memory.tainted_byte_count();
 
   RunReport first = machine->run();
-  if (!cow_disabled()) {
-    EXPECT_GT(machine->memory().dirty_page_count(), 0u)
-        << "the run must have dirtied pages for a delta to exist";
-  }
+  EXPECT_GT(machine->memory().dirty_page_count(), 0u)
+      << "the run must have dirtied pages for a delta to exist";
 
   machine->restore(snap);
-  if (!cow_disabled()) {
-    const auto stats = machine->memory().cow_stats();
-    EXPECT_GE(stats.delta_restores, 1u)
-        << "restoring to the snapshot this machine took must be a delta";
-    EXPECT_GE(stats.pages_delta_restored, 1u);
-    EXPECT_EQ(machine->memory().dirty_page_count(), 0u);
-  }
+  const auto stats = machine->memory().cow_stats();
+  EXPECT_GE(stats.delta_restores, 1u)
+      << "restoring to the snapshot this machine took must be a delta";
+  EXPECT_GE(stats.pages_delta_restored, 1u);
+  EXPECT_EQ(machine->memory().dirty_page_count(), 0u);
   // Page-summary rollups come back from the base, not from a rescan.
   EXPECT_EQ(machine->memory().tainted_byte_count(), armed_tainted);
 
@@ -193,18 +183,13 @@ TEST(Snapshot, RepeatedRestoreTakesDeltaPathWithMatchingRollups) {
   EXPECT_EQ(fingerprint(first), fingerprint(second));
 }
 
-TEST(Snapshot, ManyForksWithInterleavedRestoresMatchFullCopyReference) {
+TEST(Snapshot, ManyForksWithInterleavedRestoresMatchFreshBoot) {
   // N COW forks of one snapshot, each run/restored/re-run on staggered
-  // schedules, must all report exactly what a PTAINT_NO_COW-style deep-copy
-  // machine reports.
+  // schedules, must all report exactly what a freshly booted machine that
+  // never shared a page reports.
   auto scenario = make_scenario(AttackId::kExp2Heap);
   MachineSnapshot snap = scenario->prepare_attack({})->snapshot();
-
-  MachineConfig full_cfg;
-  full_cfg.no_cow = true;
-  Machine reference(full_cfg);
-  reference.restore(snap);
-  const std::string want = fingerprint(reference.run());
+  const std::string want = fingerprint(scenario->prepare_attack({})->run());
 
   constexpr int kForks = 6;
   std::vector<std::unique_ptr<Machine>> forks;
@@ -217,9 +202,7 @@ TEST(Snapshot, ManyForksWithInterleavedRestoresMatchFullCopyReference) {
   for (int i = 1; i < kForks; i += 2) {
     forks[i]->run_for(500 * static_cast<uint64_t>(i));
     forks[i]->restore(snap);
-    if (!cow_disabled()) {
-      EXPECT_GE(forks[i]->memory().cow_stats().delta_restores, 1u);
-    }
+    EXPECT_GE(forks[i]->memory().cow_stats().delta_restores, 1u);
   }
   for (int i = 0; i < kForks; ++i) {
     EXPECT_EQ(fingerprint(forks[i]->run()), want) << "fork " << i;
@@ -240,10 +223,8 @@ TEST(Snapshot, SelfModifyingCodeOnSharedPageAcrossForks) {
   b.restore(snap);
   RunReport ra = a.run();
   EXPECT_EQ(ra.exit_status, 42);
-  if (a.memory().cow_stats().shares > 0) {  // not under PTAINT_NO_COW=1
-    EXPECT_GT(a.memory().cow_stats().cow_breaks, 0u)
-        << "patching shared text must copy the page";
-  }
+  EXPECT_GT(a.memory().cow_stats().cow_breaks, 0u)
+      << "patching shared text must copy the page";
 
   RunReport rb = b.run();
   EXPECT_EQ(rb.exit_status, 42);

@@ -2,9 +2,9 @@
 // (src/analysis/summary_cache.cpp), an exact-content memo: exact hits, the
 // key contract (a text mutation misses and matches a direct analyze_vsa +
 // gen2_elision, with and without witnesses; a data-only mutation hits),
-// policy keying, LRU eviction, the memoization bypass, and concurrent
-// lookups collapsing onto one analysis.  The suite names match the CI
-// thread sanitizer filter (SummaryCache*).
+// policy keying, LRU eviction, and concurrent lookups collapsing onto one
+// analysis.  The suite names match the CI thread sanitizer filter
+// (SummaryCache*).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "analysis/summary_cache.hpp"
 #include "analysis/vsa.hpp"
 #include "asmgen/assembler.hpp"
-#include "core/settings.hpp"
 #include "core/spec_workloads.hpp"
 #include "guest/runtime.hpp"
 #include "isa/isa.hpp"
@@ -208,17 +207,7 @@ std::vector<size_t> imm_sites(const Cfg& cfg) {
 
 // ---- exact hits and keying -------------------------------------------------
 
-/// The CI bypass leg (PTAINT_ANALYSIS_CACHE=0) re-runs the whole suite
-/// with memoization off.  Tests asserting *memoization* semantics skip
-/// there; the identity-contract tests keep running — verifying answers
-/// don't change with the cache off is exactly that leg's job.
-#define PTAINT_REQUIRE_CACHE_ON()                                     \
-  if (!core::settings().analysis_cache) {                             \
-    GTEST_SKIP() << "memoization disabled via PTAINT_ANALYSIS_CACHE"; \
-  }
-
 TEST(SummaryCacheTest, ExactContentHitReturnsTheSameResultObject) {
-  PTAINT_REQUIRE_CACHE_ON();
   const asmgen::Program program = spec_program();
   SummaryCache cache;
   const auto a = cache.analyze(program, {});
@@ -232,7 +221,6 @@ TEST(SummaryCacheTest, ExactContentHitReturnsTheSameResultObject) {
 }
 
 TEST(SummaryCacheTest, PolicyColumnIsPartOfTheKey) {
-  PTAINT_REQUIRE_CACHE_ON();
   const asmgen::Program program = spec_program();
   SummaryCache cache;
   cpu::TaintPolicy pointer_taint;
@@ -246,7 +234,6 @@ TEST(SummaryCacheTest, PolicyColumnIsPartOfTheKey) {
 }
 
 TEST(SummaryCacheTest, EvictionAtCapacityDropsTheColdestEntry) {
-  PTAINT_REQUIRE_CACHE_ON();
   // kCapacity + 1 distinct programs: tiny ones, differing in one constant.
   std::vector<asmgen::Program> programs;
   for (size_t i = 0; i <= SummaryCache::kCapacity; ++i) {
@@ -270,26 +257,6 @@ TEST(SummaryCacheTest, EvictionAtCapacityDropsTheColdestEntry) {
   EXPECT_EQ(cache.stats().hits, 2u);  // the touched entry survived
   (void)cache.analyze(programs[1], {});
   EXPECT_EQ(cache.stats().hits, 2u);  // the coldest one was evicted
-}
-
-TEST(SummaryCacheTest, DisabledViaConfigStillComputesCorrectly) {
-  const asmgen::Program program = spec_program();
-  SummaryCache reference;
-  const auto want = reference.analyze(program, {});
-
-  SummaryCache cache;
-  cache.set_enabled(false);
-  EXPECT_FALSE(cache.enabled());
-  const auto x = cache.analyze(program, {});
-  const auto y = cache.analyze(program, {});
-
-  EXPECT_NE(x.get(), y.get());  // nothing memoized
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().cold_misses, 2u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  const Cfg cfg(program);
-  EXPECT_TRUE(identical(cfg, *want, *x));
-  EXPECT_TRUE(identical(cfg, *want, *y));
 }
 
 // ---- the key contract ------------------------------------------------------
@@ -335,19 +302,14 @@ TEST(SummaryCacheTest, TextMutationMissesAndDataMutationHitsProperty) {
     data_mut.data[rng() % data_mut.data.size()] ^=
         static_cast<uint8_t>(1u << (rng() % 8));
     const auto hit = cache.analyze(data_mut, {}, opts);
-    if (cache.enabled()) {
-      EXPECT_EQ(hit.get(), base_result.get()) << "iter " << iter;
-      EXPECT_EQ(cache.stats().hits, 1u) << "iter " << iter;
-    } else {
-      EXPECT_TRUE(identical(base_cfg, *base_result, *hit)) << "iter " << iter;
-    }
+    EXPECT_EQ(hit.get(), base_result.get()) << "iter " << iter;
+    EXPECT_EQ(cache.stats().hits, 1u) << "iter " << iter;
   }
 }
 
 // ---- concurrency -----------------------------------------------------------
 
 TEST(SummaryCacheConcurrency, SameKeyLookupsCollapseOntoOneAnalysis) {
-  PTAINT_REQUIRE_CACHE_ON();
   const asmgen::Program program = spec_program();
   SummaryCache cache;
   constexpr int kThreads = 4;
@@ -407,9 +369,7 @@ TEST(SummaryCacheConcurrency, HammerMixedKeysStaysCoherent) {
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.lookups, static_cast<uint64_t>(kThreads * kRounds));
   EXPECT_EQ(s.hits + s.cold_misses, s.lookups);
-  if (cache.enabled()) {
-    EXPECT_EQ(s.entries, 3u);
-  }
+  EXPECT_EQ(s.entries, 3u);
 }
 
 }  // namespace
