@@ -5,10 +5,17 @@
 // restore } in two ways.  A delta restore goes back to the snapshot the
 // machine last restored from and pays only for the pages the slice
 // dirtied.  A switching restore alternates between the snapshot and a
-// page-sharing copy of it, so every restore is a full one: it shares
-// every mapped page and drops the decode caches, as a pooled machine does
-// when it changes snapshots.  Only the restore calls are timed; each cell
-// is the best of three repetitions.
+// page-sharing copy of it, so every restore shares every mapped page
+// instead; the core keeps its code image for the program (DESIGN.md §10),
+// so neither kind rebuilds decodes or translations.  Only the restore
+// calls are timed.
+//
+// The job columns time restore + run of a short slice, the unit of work a
+// pooled machine serves: "delta job" repeats one snapshot, "switch job"
+// restores the workload right after running another program's snapshot,
+// which is what a served machine does when consecutive jobs name
+// different apps.  Every cell is the median of kReps repetitions, with
+// the min..max spread beside it, and the JSON records the host.
 //
 // Part 2 — content-addressed store (DESIGN.md §13).  The ablation
 // campaign runs store-backed; its key set interns every built snapshot's
@@ -24,7 +31,8 @@
 // Results go to `json-path` (default BENCH_snapshot.json) for
 // EXPERIMENTS.md and CI.  `--check` skips the timing reps and instead
 // verifies run-report identity: interleaved restore/run/report cycles per
-// workload under delta and switching restores, store dehydrate/hydrate
+// workload under delta restores, switching restores and switching
+// restores that run another program in between, store dehydrate/hydrate
 // round-trips (byte-identical pages, identical reports from every tier),
 // then the coverage campaign on step and superblock plus store-backed
 // legs on all three engines — exit 1 on any divergence (made for the
@@ -39,11 +47,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/campaigns.hpp"
 #include "campaign/executor.hpp"
 #include "campaign/snapshot_cache.hpp"
+#include "campaign/worker.hpp"
 #include "core/snapshot_io.hpp"
 #include "core/spec_workloads.hpp"
 #include "mem/page_store.hpp"
@@ -59,15 +69,37 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Median and min..max of a set of repetitions.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  Spread s;
+  if (samples.empty()) return s;
+  const size_t n = samples.size();
+  s.median = n % 2 ? samples[n / 2]
+                   : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+  s.min = samples.front();
+  s.max = samples.back();
+  return s;
+}
+
 /// One workload's restore-rate measurement for one restore kind.
 struct RestoreCell {
-  double restores_per_s = 0.0;
+  Spread restores_per_s;
   uint64_t dirty_pages = 0;   // pages the inter-restore slice dirtied
   uint64_t mapped_pages = 0;  // snapshot footprint
 };
 
+constexpr int kReps = 5;              // repetitions per cell
 constexpr int kRestores = 200;        // restores per repetition
 constexpr uint64_t kSlice = 50'000;   // guest instructions between restores
+constexpr int kJobs = 200;            // timed jobs per repetition
+constexpr uint64_t kJobSlice = 5'000; // guest instructions per job
 
 /// The snapshot the i-th restore of a sequence goes to: always `snap` for
 /// delta restores; alternately `alt` (a page-sharing copy of `snap`) and
@@ -78,11 +110,11 @@ const MachineSnapshot& restore_target(const MachineSnapshot& snap,
   return switching && i % 2 == 0 ? alt : snap;
 }
 
-RestoreCell measure_restores(const MachineSnapshot& snap, bool switching,
-                             int reps) {
+RestoreCell measure_restores(const MachineSnapshot& snap, bool switching) {
   const MachineSnapshot alt = snap;
   RestoreCell cell;
-  for (int rep = 0; rep < reps; ++rep) {
+  std::vector<double> rates;
+  for (int rep = 0; rep < kReps; ++rep) {
     Machine machine;
     machine.restore(snap);  // the first restore is a full one either way
     double restore_s = 0.0;
@@ -94,11 +126,112 @@ RestoreCell measure_restores(const MachineSnapshot& snap, bool switching,
       machine.restore(target);
       restore_s += seconds_since(t0);
     }
-    cell.restores_per_s =
-        std::max(cell.restores_per_s, kRestores / restore_s);
+    rates.push_back(kRestores / restore_s);
   }
+  cell.restores_per_s = spread_of(std::move(rates));
   cell.mapped_pages = snap.memory.mapped_pages();
   return cell;
+}
+
+/// Microseconds per job (restore `snap`, run kJobSlice instructions).
+/// With `other`, every timed job follows an untimed job on that snapshot
+/// — a different program — so each timed restore switches programs.
+Spread measure_jobs(const MachineSnapshot& snap,
+                    const MachineSnapshot* other) {
+  std::vector<double> us;
+  for (int rep = 0; rep < kReps; ++rep) {
+    Machine machine;
+    machine.restore(snap);
+    machine.run_for(kJobSlice);  // warm: both columns start from a run
+    double job_s = 0.0;
+    for (int i = 0; i < kJobs; ++i) {
+      if (other != nullptr) {
+        machine.restore(*other);
+        machine.run_for(kJobSlice);
+      }
+      const auto t0 = Clock::now();
+      machine.restore(snap);
+      machine.run_for(kJobSlice);
+      job_s += seconds_since(t0);
+    }
+    us.push_back(job_s * 1e6 / kJobs);
+  }
+  return spread_of(std::move(us));
+}
+
+/// The served session mix: guest sessions of the server and leak apps, one
+/// boot snapshot per app, policy per app, elided — e2e_bench's
+/// session-cold cells, with a fixed nonce.
+std::vector<campaign::Job> session_jobs(campaign::SnapshotCache& cache) {
+  struct Session {
+    const char* app;
+    const char* policy;
+    std::vector<std::string> lines;
+  };
+  const std::vector<Session> sessions = {
+      {"wu-ftpd", "paper",
+       {"user user1\r\n", "pass nonce\r\n", "site exec hello %d %d\r\n",
+        "quit\r\n"}},
+      {"null-httpd", "paper",
+       {"GET /nonce HTTP/1.0\r\n",
+        "POST /form HTTP/1.0\r\nContent-Length: 16\r\n\r\n",
+        "name=alice&x=1\r\n", "GET /cgi-bin/../etc HTTP/1.0\r\n"}},
+      {"ghttpd", "paper", {"GET /nonce.html HTTP/1.0\r\n"}},
+      {"globd", "paper", {"LIST *", "LIST readme.txt", "LIST ~nonce"}},
+      {"leak-telemetry", "leak-aware", {"STAT nonce", "QUIT"}},
+      {"leak-session", "leak-aware", {"HELO nonce", "QUIT"}},
+      {"leak-banner", "leak-aware", {"hello nonce", "status check"}},
+  };
+  std::vector<campaign::Job> jobs;
+  for (const Session& s : sessions) {
+    jobs.push_back(campaign::make_session_job(s.app, s.lines, "", s.policy,
+                                              cache, /*elide=*/true));
+  }
+  return jobs;
+}
+
+/// Per-job restore and run time of a served job mix on one worker's
+/// machine pool, as run_job reports them (the campaign.restore_ms and
+/// campaign.run_ms layers of a served job).
+struct ServedCell {
+  Spread restore_us;
+  Spread run_us;
+};
+
+/// `switching`: the mix round-robin, so every restore on a pooled machine
+/// changes program whenever the mix has several per machine config.
+/// Otherwise each job repeats back to back, so every restore returns to
+/// the snapshot the machine just ran.
+ServedCell measure_served(const std::vector<campaign::Job>& jobs,
+                          bool switching) {
+  constexpr int kRounds = 40;
+  std::vector<double> restore_us;
+  std::vector<double> run_us;
+  for (int rep = 0; rep < kReps; ++rep) {
+    campaign::MachinePool pool;
+    campaign::ForkCounters counters;
+    const campaign::WorkerConfig config;
+    for (size_t j = 0; j < jobs.size(); ++j) {  // warm pools and caches
+      campaign::run_job(jobs[j], j, config, pool, counters);
+    }
+    double restore_ms = 0.0;
+    double run_ms = 0.0;
+    for (int r = 0; r < kRounds; ++r) {
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        const size_t pick =
+            switching ? j : (static_cast<size_t>(r) * jobs.size() + j) /
+                                static_cast<size_t>(kRounds);
+        const campaign::JobResult res =
+            campaign::run_job(jobs[pick], pick, config, pool, counters);
+        restore_ms += res.restore_ms;
+        run_ms += res.run_ms;
+      }
+    }
+    const double n = static_cast<double>(kRounds * jobs.size());
+    restore_us.push_back(restore_ms * 1e3 / n);
+    run_us.push_back(run_ms * 1e3 / n);
+  }
+  return {spread_of(std::move(restore_us)), spread_of(std::move(run_us))};
 }
 
 /// Fingerprint of a run's observable outcome; delta and switching restores
@@ -112,33 +245,47 @@ std::string report_fingerprint(const RunReport& r) {
 }
 
 /// --check leg 1: interleaved restore/run/report cycles must produce the
-/// same report sequence under delta and switching restores.
+/// same report sequence under delta restores, switching restores, and
+/// switching restores that run `other` (another program) in between.
 bool check_restore_identity(const SpecWorkload& w,
-                            const MachineSnapshot& snap) {
+                            const MachineSnapshot& snap,
+                            const MachineSnapshot& other) {
   const MachineSnapshot alt = snap;
-  std::vector<std::string> prints[2];
-  uint64_t deltas[2] = {0, 0};
-  for (const bool switching : {false, true}) {
+  constexpr const char* kKinds[] = {"delta", "switching", "switching+run"};
+  std::vector<std::string> prints[3];
+  uint64_t deltas[3] = {0, 0, 0};
+  for (int kind = 0; kind < 3; ++kind) {
     Machine machine;
     for (int i = 0; i < 6; ++i) {
-      machine.restore(restore_target(snap, alt, switching, i));
+      if (kind == 2) {
+        machine.restore(other);
+        machine.run_for(kSlice);
+      }
+      machine.restore(restore_target(snap, alt, kind == 1, i));
       machine.run_for(kSlice * (1 + i % 3));  // vary the dirtied set
-      prints[switching].push_back(report_fingerprint(machine.report()));
+      prints[kind].push_back(report_fingerprint(machine.report()));
     }
-    deltas[switching] = machine.memory().cow_stats().delta_restores;
+    deltas[kind] = machine.memory().cow_stats().delta_restores;
   }
   // All but the first restore of the delta sequence are deltas; none of
-  // the switching sequence is.
-  if (deltas[0] != 5 || deltas[1] != 0) {
-    std::fprintf(stderr, "%s: %llu/%llu delta restores, expected 5/0\n",
+  // the switching sequences is.
+  if (deltas[0] != 5 || deltas[1] != 0 || deltas[2] != 0) {
+    std::fprintf(stderr,
+                 "%s: %llu/%llu/%llu delta restores, expected 5/0/0\n",
                  w.name.c_str(), static_cast<unsigned long long>(deltas[0]),
-                 static_cast<unsigned long long>(deltas[1]));
+                 static_cast<unsigned long long>(deltas[1]),
+                 static_cast<unsigned long long>(deltas[2]));
     return false;
   }
-  if (prints[0] == prints[1]) return true;
-  std::fprintf(stderr, "%s: delta and switching restores diverge\n",
-               w.name.c_str());
-  return false;
+  bool ok = true;
+  for (int kind = 1; kind < 3; ++kind) {
+    if (prints[kind] != prints[0]) {
+      std::fprintf(stderr, "%s: delta and %s restores diverge\n",
+                   w.name.c_str(), kKinds[kind]);
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 /// Runs the named campaign on the parallel engine; returns wall seconds.
@@ -274,15 +421,53 @@ bool check_store_identity(const SpecWorkload& w) {
   return ok;
 }
 
+std::vector<MachineSnapshot> boot_snapshots(
+    const std::vector<SpecWorkload>& workloads) {
+  std::vector<MachineSnapshot> snaps;
+  for (const SpecWorkload& w : workloads) {
+    snaps.push_back(prepare_spec_workload(w, {})->snapshot());
+  }
+  return snaps;
+}
+
+/// The host the numbers were measured on, as a JSON object.
+std::string host_json() {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) model = line.substr(colon + 2);
+      break;
+    }
+  }
+  std::string escaped;
+  for (const char c : model) {
+    if (c == '"' || c == '\\') escaped += '\\';
+    escaped += c;
+  }
+  return "{\"cpu\": \"" + escaped + "\", \"threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" __VERSION__ "\"}";
+}
+
+std::string spread_json(const char* name, const Spread& s, const char* fmt) {
+  char buf[256];
+  const std::string f = std::string("\"%s\": ") + fmt + ", \"%s_min\": " +
+                        fmt + ", \"%s_max\": " + fmt;
+  std::snprintf(buf, sizeof(buf), f.c_str(), name, s.median, name, s.min,
+                name, s.max);
+  return buf;
+}
+
 int run_check() {
   bool ok = true;
-  for (const auto& w : make_spec_workloads(1)) {
-    {
-      const auto machine = prepare_spec_workload(w, {});
-      const MachineSnapshot snap = machine->snapshot();
-      ok = check_restore_identity(w, snap) && ok;
-    }
-    ok = check_store_identity(w) && ok;
+  const std::vector<SpecWorkload> workloads = make_spec_workloads(1);
+  const std::vector<MachineSnapshot> snaps = boot_snapshots(workloads);
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    const MachineSnapshot& other = snaps[(i + 1) % snaps.size()];
+    ok = check_restore_identity(workloads[i], snaps[i], other) && ok;
+    ok = check_store_identity(workloads[i]) && ok;
   }
   // Coverage campaign on step and superblock; both verdict vectors must
   // agree with a first step run.
@@ -332,8 +517,8 @@ int run_check() {
     }
   }
   std::filesystem::remove_all(store_dir);
-  std::printf("check: delta and switching restores are observably "
-              "identical: %s\n",
+  std::printf("check: delta, switching and switching+run restores are "
+              "observably identical: %s\n",
               ok ? "yes" : "NO");
   std::printf("check: store-backed restores byte- and verdict-identical on "
               "step, superblock and jit: %s\n",
@@ -348,47 +533,61 @@ int main(int argc, char** argv) {
 
   const int scale = argc > 1 ? std::atoi(argv[1]) : 1;
   const std::string json_path = argc > 2 ? argv[2] : "BENCH_snapshot.json";
-  constexpr int kReps = 3;
-
   std::printf(
-      "== Snapshot restore throughput: delta vs switching (scale %d) ==\n\n",
-      scale);
-  std::printf("%-8s %7s %7s %14s %14s %8s\n", "program", "pages", "dirty",
-              "switch rest/s", "delta rest/s", "speedup");
+      "== Snapshot restore throughput: delta vs switching (scale %d) ==\n"
+      "   median of %d repetitions; job = restore + %llu instructions\n\n",
+      scale, kReps, static_cast<unsigned long long>(kJobSlice));
+  std::printf("%-8s %6s %6s %14s %14s %8s %12s %12s\n", "program", "pages",
+              "dirty", "switch rest/s", "delta rest/s", "speedup",
+              "delta job us", "switch job us");
 
   std::string json = "{\n  \"scale\": " + std::to_string(scale) +
-                     ",\n  \"workloads\": [\n";
+                     ",\n  \"repetitions\": " + std::to_string(kReps) +
+                     ",\n  \"job_instructions\": " +
+                     std::to_string(kJobSlice) + ",\n  \"host\": " +
+                     host_json() + ",\n  \"workloads\": [\n";
   double geomean = 1.0;
   int rows = 0;
 
-  for (const auto& w : make_spec_workloads(scale)) {
-    const auto machine = prepare_spec_workload(w, {});
-    const MachineSnapshot snap = machine->snapshot();
-    const RestoreCell switching =
-        measure_restores(snap, /*switching=*/true, kReps);
-    const RestoreCell delta =
-        measure_restores(snap, /*switching=*/false, kReps);
+  const std::vector<SpecWorkload> workloads = make_spec_workloads(scale);
+  const std::vector<MachineSnapshot> snaps = boot_snapshots(workloads);
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    const SpecWorkload& w = workloads[i];
+    const MachineSnapshot& snap = snaps[i];
+    const RestoreCell switching = measure_restores(snap, /*switching=*/true);
+    const RestoreCell delta = measure_restores(snap, /*switching=*/false);
+    const Spread delta_job = measure_jobs(snap, nullptr);
+    const Spread switch_job =
+        measure_jobs(snap, &snaps[(i + 1) % snaps.size()]);
     const double speedup =
-        switching.restores_per_s > 0
-            ? delta.restores_per_s / switching.restores_per_s
+        switching.restores_per_s.median > 0
+            ? delta.restores_per_s.median / switching.restores_per_s.median
             : 0.0;
     geomean *= speedup;
     ++rows;
-    std::printf("%-8s %7llu %7llu %14.0f %14.0f %7.2fx\n", w.name.c_str(),
+    std::printf("%-8s %6llu %6llu %14.0f %14.0f %7.2fx %12.1f %12.1f\n",
+                w.name.c_str(),
                 static_cast<unsigned long long>(delta.mapped_pages),
                 static_cast<unsigned long long>(delta.dirty_pages),
-                switching.restores_per_s, delta.restores_per_s, speedup);
+                switching.restores_per_s.median,
+                delta.restores_per_s.median, speedup, delta_job.median,
+                switch_job.median);
 
-    char buf[512];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    {\"name\": \"%s\", \"mapped_pages\": %llu, "
-                  "\"dirty_pages\": %llu, "
-                  "\"switching_restores_per_s\": %.0f, "
-                  "\"delta_restores_per_s\": %.0f, \"speedup\": %.3f},\n",
+                  "\"dirty_pages\": %llu, ",
                   w.name.c_str(),
                   static_cast<unsigned long long>(delta.mapped_pages),
-                  static_cast<unsigned long long>(delta.dirty_pages),
-                  switching.restores_per_s, delta.restores_per_s, speedup);
+                  static_cast<unsigned long long>(delta.dirty_pages));
+    json += buf;
+    json += spread_json("switching_restores_per_s", switching.restores_per_s,
+                        "%.0f") + ", ";
+    json += spread_json("delta_restores_per_s", delta.restores_per_s,
+                        "%.0f") + ", ";
+    json += spread_json("delta_job_us", delta_job, "%.2f") + ", ";
+    json += spread_json("switch_job_us", switch_job, "%.2f");
+    std::snprintf(buf, sizeof(buf), ", \"speedup\": %.3f},\n", speedup);
     json += buf;
   }
 
@@ -398,6 +597,35 @@ int main(int argc, char** argv) {
     json.erase(json.size() - 2, 1);  // trailing comma
   }
   json += "  ],\n  \"geomean_restore_speedup\": " + std::to_string(gm);
+
+  // Served job mixes: restore + run per job on a worker's machine pool,
+  // same snapshot back to back vs round-robin across programs.
+  std::printf("\n%-9s %-10s %12s %12s\n", "cells", "order", "restore us",
+              "run us");
+  json += ",\n  \"served\": [\n";
+  {
+    campaign::SnapshotCache cache(campaign::StoreOptions{});
+    const std::vector<campaign::Job> session = session_jobs(cache);
+    const std::vector<campaign::Job> attack =
+        campaign::make_jobs("coverage", cache, 1, /*elide=*/false, {});
+    const std::pair<const char*, const std::vector<campaign::Job>*> mixes[] =
+        {{"session", &session}, {"attack", &attack}};
+    for (const auto& [cells, jobs] : mixes) {
+      for (const bool switching : {false, true}) {
+        const ServedCell c = measure_served(*jobs, switching);
+        const char* order = switching ? "switching" : "same";
+        std::printf("%-9s %-10s %12.1f %12.1f\n", cells, order,
+                    c.restore_us.median, c.run_us.median);
+        json += std::string("    {\"cells\": \"") + cells +
+                "\", \"order\": \"" + order + "\", \"jobs\": " +
+                std::to_string(jobs->size()) + ", " +
+                spread_json("restore_us", c.restore_us, "%.2f") + ", " +
+                spread_json("run_us", c.run_us, "%.2f") + "},\n";
+      }
+    }
+  }
+  json.erase(json.size() - 2, 1);  // trailing comma
+  json += "  ]";
 
   // Part 2: the ablation campaign, plain and then store-backed.  The plain
   // run is the verdict reference.  One live cache for the store-backed run

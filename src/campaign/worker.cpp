@@ -80,7 +80,8 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
         counters.machine_reuses.fetch_add(1, std::memory_order_relaxed);
       }
       // Repeat restores from one snapshot take the COW delta path inside
-      // Machine::restore — O(pages the previous run dirtied).
+      // Machine::restore — O(pages the previous run dirtied) — and a
+      // restore to another recently run program reuses its code image.
       machine->restore(*snapshot);
       if (job.input) job.input->install(*machine);
       const auto armed_at = Clock::now();

@@ -1,10 +1,11 @@
 // Per-worker job execution core, shared by the batch Executor and the
 // ptaint-serve daemon shards.
 //
-// A worker owns a MachinePool (kept machines, one per snapshot×config key)
-// and calls run_job() for each job it claims: build or restore the
-// Machine, drive it in instruction slices with wall-clock and budget
-// checks between slices, classify, and return the filled JobResult.  The
+// A worker owns a MachinePool (kept machines, one per machine-config key;
+// any of them restores any snapshot) and calls run_job() for each job it
+// claims: build or restore the Machine, drive it in instruction slices
+// with wall-clock and budget checks between slices, classify, and return
+// the filled JobResult.  The
 // pool is strictly thread-local to its worker — machines are
 // single-threaded by contract — while ForkCounters aggregates build/reuse
 // tallies across workers.
@@ -28,8 +29,11 @@
 namespace ptaint::campaign {
 
 /// Per-worker machine pool for the fork path: one machine per
-/// (snapshot × config) key, FIFO-evicted past a small cap so a campaign
-/// with many boots cannot hoard decode caches.
+/// Job::machine_key — the machine config (policy, budget, elision,
+/// engine), deliberately not the snapshot — FIFO-evicted past a small cap.
+/// A kept machine restores whatever snapshot its next job names and keeps
+/// code images for the last few programs it ran (cpu::CodeImage), so a
+/// key serving several apps in turn does not rebuild their decodes.
 class MachinePool {
  public:
   core::Machine* find(const std::string& key);

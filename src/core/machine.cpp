@@ -86,9 +86,11 @@ void Machine::install_program(
   memory_.write_block(layout::kDataBase, p.data, /*tainted=*/false);
   // Program break starts past .data, 8-byte aligned.
   os_->set_initial_brk((p.data_end + 7) & ~7u);
-  cpu_->set_executable_range(
-      layout::kTextBase,
-      layout::kTextBase + 4 * static_cast<uint32_t>(p.text.size()));
+  // A code image this core kept for the program re-decodes the pages just
+  // written; the elision below is re-installed either way, since load
+  // writes the program's own text.
+  cpu_->use_code(program_, layout::kTextBase,
+                 layout::kTextBase + 4 * static_cast<uint32_t>(p.text.size()));
   cpu_->set_pc(p.entry);
   // The initial stack pointer is the root of stack address provenance:
   // every frame and local address derives from it.
@@ -105,7 +107,12 @@ size_t Machine::enable_static_elision() {
 }
 
 size_t Machine::apply_static_elision() {
-  if (program_->text.empty()) return 0;
+  // Every proof is about the program as assembled; memory restored from a
+  // snapshot taken after self-modifying code gets none.
+  if (program_->text.empty() ||
+      !memory_.holds_words(layout::kTextBase, program_->text)) {
+    return 0;
+  }
   // Second-generation table: the memory-aware value-set prover's bitmaps
   // (vsa.cpp) — sites proven clean, including those whose cleanliness
   // transits memory, and sites proven dead.  The summary cache memoizes the
@@ -202,27 +209,17 @@ MachineSnapshot Machine::snapshot() {
 }
 
 void Machine::restore(const MachineSnapshot& snapshot) {
-  bool caches_kept = false;
-  const std::optional<std::vector<uint32_t>> reverted =
-      memory_.delta_restore(snapshot.memory);
-  if (reverted) {
-    // Delta path: the memory already matched the snapshot except on the
-    // reverted pages, and the program is unchanged (load_program forgets
-    // the base), so the decode cache, superblock translations and any
-    // installed elision bitmap stay valid everywhere else.  Only decodes
-    // covering reverted pages — self-modified code — must go.
-    caches_kept = cpu_->restore_state_keep_caches(snapshot.cpu);
-    if (caches_kept) {
-      for (uint32_t idx : *reverted) {
-        cpu_->invalidate_decode_range(idx << mem::TaintedMemory::kPageShift,
-                                      mem::TaintedMemory::kPageSize);
-      }
-    }
-  } else {
-    program_ = snapshot.program;
-    memory_ = snapshot.memory;  // share pages; snapshot becomes the base
-    cpu_->restore_state(snapshot.cpu);
-  }
+  // Restoring the snapshot this memory last copied from drops just the
+  // pages the machine dirtied; any other snapshot shares every page.
+  if (!memory_.delta_restore(snapshot.memory)) memory_ = snapshot.memory;
+  program_ = snapshot.program;
+  // One rule for the derived code state, delta or not: the core swaps in
+  // its code image for the program and re-decodes only text pages whose
+  // page object changed (self-modifying code, another boot of the same
+  // program).  A program it holds no image for gets a fresh one, and only
+  // then is the elision proof installed — the machine's policy is fixed
+  // by its config, so the program alone identifies the bitmap.
+  const bool fresh_image = cpu_->restore_state(snapshot.cpu, program_);
   *os_ = snapshot.os;
   if (config_.pipeline_model) {
     // Pipeline state transfers only between same-shaped configs; restoring
@@ -235,13 +232,7 @@ void Machine::restore(const MachineSnapshot& snapshot) {
   }
   if (tracer_) tracer_->clear();
   if (profiler_) profiler_->reset();
-  // When the decode cache was dropped (full restore), any elision bits
-  // went with it; re-derive the proof for the restored program image.  On
-  // the delta path the installed bitmap is still the right one: the
-  // program is identical, and bits voided by self-modifying code sit on
-  // reverted pages whose decodes were just invalidated (those sites are
-  // simply re-checked dynamically, which can never change a verdict).
-  if (config_.static_elision && !caches_kept) apply_static_elision();
+  if (config_.static_elision && fresh_image) apply_static_elision();
   // The waiver ranges are config-derived (not snapshot state, like the
   // policy itself) and must track whatever program the restore installed.
   apply_may_publish(/*strict=*/false);

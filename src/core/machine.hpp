@@ -41,8 +41,9 @@ struct MachineConfig {
   /// loaded program and installs its check-elision bitmap: dereference
   /// sites statically proven clean under `policy` skip the dynamic
   /// detector.  Detection verdicts are unchanged by construction (see
-  /// docs/ANALYSIS.md); the interpreter just does less work.  Re-applied
-  /// automatically on load_* and restore().
+  /// docs/ANALYSIS.md); the interpreter just does less work.  Applied
+  /// automatically on load_* and by any restore() that builds a fresh
+  /// code image (Machine::restore).
   bool static_elision = false;
 
   /// Execution engine driving the core: step, superblock or jit.  Unset
@@ -187,12 +188,16 @@ class Machine {
   /// snapshot of machine M behaves byte-identically to M continuing from
   /// the snapshot point.
   ///
-  /// Restoring from the snapshot this machine was last restored from is a
-  /// delta restore: only the pages the machine dirtied are dropped back to
-  /// the shared blocks, registers/CPU/taint-unit/OS state are reset, and
-  /// decode caches plus superblock translations survive except on the
-  /// truly-changed pages (self-modifying code) — O(dirty set), the
-  /// campaign executor's machine-reuse fast path.
+  /// Memory: restoring from the snapshot this machine was last restored
+  /// from is a delta restore — only the pages the machine dirtied are
+  /// dropped back to the shared blocks, O(dirty set); any other snapshot
+  /// shares every page.  Code state (decode cache, elision bitmaps,
+  /// superblock translations) follows one rule either way: the core keeps
+  /// a code image per recently run program (cpu::CodeImage) and re-derives
+  /// only the text pages whose page object differs from the one it
+  /// recorded, so switching between a few snapshots — the pooled-machine
+  /// case in the campaign executor and the serving daemon — rebuilds
+  /// nothing but what self-modifying code changed.
   void restore(const MachineSnapshot& snapshot);
 
   /// Runs until exit/alert/fault or the instruction budget is exhausted.

@@ -1,5 +1,6 @@
 #include "cpu/cpu.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <mutex>
@@ -28,6 +29,39 @@ std::string SecurityAlert::to_string() const {
                   reg, reg_value);
   }
   return buf;
+}
+
+CodeImage::CodeImage() = default;
+CodeImage::~CodeImage() = default;
+CodeImage::CodeImage(CodeImage&&) noexcept = default;
+CodeImage& CodeImage::operator=(CodeImage&&) noexcept = default;
+
+void CodeImage::reset(std::shared_ptr<const void> key, uint32_t begin,
+                      uint32_t end) {
+  program = std::move(key);
+  text_begin = begin;
+  text_end = end;
+  // Cap the cache so a pathological range (e.g. a raw core that never saw a
+  // loader) cannot allocate gigabytes; fetches past the cap use the slow
+  // path with identical semantics.
+  constexpr uint32_t kMaxCachedInstructions = 4u << 20;
+  const uint64_t span = end > begin ? (static_cast<uint64_t>(end) - begin) / 4
+                                    : 0;
+  const size_t n = static_cast<size_t>(
+      span < kMaxCachedInstructions ? span : kMaxCachedInstructions);
+  decode_cache.resize(n);  // entries are meaningful only where valid
+  decode_valid.assign(n, 0);
+  elide_bits.clear();
+  leak_elide_bits.clear();
+  leader_bits.clear();
+  constexpr uint32_t kShift = mem::TaintedMemory::kPageShift;
+  const size_t pages =
+      n == 0 ? 0
+             : ((begin + 4 * static_cast<uint32_t>(n - 1)) >> kShift) -
+                   (begin >> kShift) + 1;
+  text_pages.assign(pages, nullptr);
+  blocks.clear();
+  block_at.assign(n, nullptr);
 }
 
 Cpu::Cpu(mem::TaintedMemory& memory, const TaintPolicy& policy)
@@ -78,10 +112,10 @@ void Cpu::set_engine(Engine requested) {
 }
 
 void Cpu::set_block_leaders(const std::vector<uint8_t>& leaders) {
-  leader_bits_.assign(decode_cache_.size(), 0);
-  const size_t n = leaders.size() < leader_bits_.size() ? leaders.size()
-                                                        : leader_bits_.size();
-  for (size_t i = 0; i < n; ++i) leader_bits_[i] = leaders[i] ? 1 : 0;
+  std::vector<uint8_t>& bits = code_.leader_bits;
+  bits.assign(code_.decode_cache.size(), 0);
+  const size_t n = std::min(leaders.size(), bits.size());
+  for (size_t i = 0; i < n; ++i) bits[i] = leaders[i] ? 1 : 0;
   // Existing blocks were built against the old leader set; retranslate.
   if (sb_) sb_->flush_all();
 }
@@ -128,55 +162,123 @@ void Cpu::protect_region(uint32_t addr, uint32_t len, std::string name) {
   protected_regions_.push_back({addr, addr + len, std::move(name)});
 }
 
-void Cpu::set_executable_range(uint32_t begin, uint32_t end) {
+bool Cpu::use_code(std::shared_ptr<const void> program, uint32_t begin,
+                   uint32_t end) {
+  static_assert(kCodeImages >= 2, "the active image plus at least one");
   text_begin_ = begin;
   text_end_ = end;
-  // Cap the cache so a pathological range (e.g. a raw core that never saw a
-  // loader) cannot allocate gigabytes; fetches past the cap use the slow
-  // path with identical semantics.
-  constexpr uint32_t kMaxCachedInstructions = 4u << 20;
-  const uint64_t span = end > begin ? (static_cast<uint64_t>(end) - begin) / 4
-                                    : 0;
-  const size_t n = static_cast<size_t>(
-      span < kMaxCachedInstructions ? span : kMaxCachedInstructions);
-  decode_cache_.assign(n, Instruction{});
-  decode_valid_.assign(n, 0);
-  elide_bits_.clear();  // any installed elision proof is for the old image
-  leak_elide_bits_.clear();
-  leader_bits_.clear();
-  if (sb_) sb_->reset();  // superblocks are derived state; refill lazily
+  const auto is_image_for = [&](const CodeImage& image) {
+    return program != nullptr && image.program == program &&
+           image.text_begin == begin && image.text_end == end;
+  };
+  if (!is_image_for(code_)) {
+    if (sb_) sb_->on_switch(code_);
+    CodeImage next;
+    const auto hit =
+        std::find_if(stashed_.begin(), stashed_.end(), is_image_for);
+    const bool found = hit != stashed_.end();
+    if (found) {
+      next = std::move(*hit);
+      stashed_.erase(hit);
+    } else if (code_.program != nullptr &&
+               stashed_.size() + 1 >= kCodeImages) {
+      // Evict the least recently used image; the fresh one reuses its
+      // storage, so a miss allocates nothing once the cache is full.
+      next = std::move(stashed_.back());
+      stashed_.pop_back();
+    }
+    if (code_.program != nullptr) {
+      stashed_.insert(stashed_.begin(), std::move(code_));
+    }
+    code_ = std::move(next);
+    if (!found) {
+      // Nothing decoded yet, so every text page is trivially in sync.
+      code_.reset(std::move(program), begin, end);
+      const uint32_t first = begin >> mem::TaintedMemory::kPageShift;
+      for (size_t i = 0; i < code_.text_pages.size(); ++i) {
+        code_.text_pages[i] =
+            memory_.pin_page(first + static_cast<uint32_t>(i));
+      }
+      return true;
+    }
+  }
+  // The one restore rule: decodes, bitmaps and translations stand on every
+  // text page whose page object is still the one they were derived from.
+  // A different object with the same text bytes (another boot of the
+  // program) is adopted as is; any other page is re-derived lazily.
+  constexpr uint32_t kShift = mem::TaintedMemory::kPageShift;
+  const uint32_t first = begin >> kShift;
+  const uint64_t covered = begin + 4 * uint64_t{code_.decode_cache.size()};
+  for (size_t i = 0; i < code_.text_pages.size(); ++i) {
+    const uint32_t idx = first + static_cast<uint32_t>(i);
+    const mem::TaintedMemory::Page* now = memory_.page_at(idx);
+    const mem::TaintedMemory::Page* was = code_.text_pages[i].get();
+    if (now != nullptr && now == was) continue;
+    const uint64_t page = uint64_t{idx} << kShift;
+    const size_t lo = static_cast<size_t>(std::max<uint64_t>(page, begin) - page);
+    const size_t hi = static_cast<size_t>(
+        std::min<uint64_t>(page + mem::TaintedMemory::kPageSize, covered) -
+        page);
+    if (now == nullptr || was == nullptr ||
+        !std::equal(was->data.begin() + lo, was->data.begin() + hi,
+                    now->data.begin() + lo)) {
+      invalidate_decode_range(idx << kShift, mem::TaintedMemory::kPageSize);
+    }
+    code_.text_pages[i] = memory_.pin_page(idx);
+  }
+  return false;
 }
 
 void Cpu::set_check_elision(const std::vector<uint8_t>& elision) {
-  elide_bits_.assign(decode_cache_.size(), 0);
-  const size_t n = elision.size() < elide_bits_.size() ? elision.size()
-                                                       : elide_bits_.size();
-  for (size_t i = 0; i < n; ++i) elide_bits_[i] = elision[i] ? 1 : 0;
+  std::vector<uint8_t>& bits = code_.elide_bits;
+  bits.assign(code_.decode_cache.size(), 0);
+  const size_t n = std::min(elision.size(), bits.size());
+  for (size_t i = 0; i < n; ++i) bits[i] = elision[i] ? 1 : 0;
   // Refresh entries that were already decoded under the previous bitmap.
-  for (size_t i = 0; i < decode_valid_.size(); ++i) {
-    if (decode_valid_[i] != 0) {
-      decode_valid_[i] = i < n && elide_bits_[i] ? 2 : 1;
-    }
+  std::vector<uint8_t>& valid = code_.decode_valid;
+  for (size_t i = 0; i < valid.size(); ++i) {
+    if (valid[i] != 0) valid[i] = i < n && bits[i] ? 2 : 1;
   }
   // Cached superblocks baked the old verdicts into their micro-ops.
   if (sb_) sb_->flush_all();
 }
 
 void Cpu::invalidate_decode_range(uint32_t addr, uint32_t len) {
-  if (decode_valid_.empty() || len == 0) return;
+  CodeImage& code = code_;
+  if (code.decode_valid.empty() || len == 0) return;
   if (addr >= text_end_ || addr + len <= text_begin_) return;
   const uint32_t lo = addr > text_begin_ ? addr : text_begin_;
   const uint32_t hi = addr + len < text_end_ ? addr + len : text_end_;
   for (uint32_t i = (lo - text_begin_) / 4; i <= (hi - 1 - text_begin_) / 4;
        ++i) {
-    if (i >= decode_valid_.size()) break;
-    decode_valid_[i] = 0;
-    // Self-modifying code voids the static proofs for this PC: the new
-    // instruction must be checked dynamically.
-    if (i < elide_bits_.size()) elide_bits_[i] = 0;
-    if (i < leak_elide_bits_.size()) leak_elide_bits_[i] = 0;
+    if (i >= code.decode_valid.size()) break;
+    code.decode_valid[i] = 0;
+  }
+  // The static proofs hold for the program as assembled, as a whole: new
+  // code anywhere can feed tainted values to a site proven clean elsewhere
+  // (a patched add that folds input into a register later dereferenced),
+  // so a change to the text voids every proof of this image.
+  if (!code.elide_bits.empty() || !code.leak_elide_bits.empty()) {
+    drop_elision();
+  }
+  // Whatever gets decoded on these pages from now on comes from their
+  // current bytes, not from the page objects on record.
+  constexpr uint32_t kShift = mem::TaintedMemory::kPageShift;
+  const uint32_t first = text_begin_ >> kShift;
+  for (uint32_t p = (lo >> kShift) - first;
+       p <= ((hi - 1) >> kShift) - first && p < code.text_pages.size(); ++p) {
+    code.text_pages[p] = nullptr;
   }
   if (sb_) sb_->on_invalidate(lo, hi - lo);
+}
+
+void Cpu::drop_elision() {
+  code_.elide_bits.clear();
+  code_.leak_elide_bits.clear();
+  for (uint8_t& valid : code_.decode_valid) {
+    if (valid == 2) valid = 1;
+  }
+  if (sb_) sb_->flush_all();  // blocks baked the old verdicts
 }
 
 Cpu::State Cpu::save_state() const {
@@ -195,7 +297,8 @@ Cpu::State Cpu::save_state() const {
   return s;
 }
 
-void Cpu::restore_state(const State& s) {
+bool Cpu::restore_state(const State& s,
+                        std::shared_ptr<const void> program) {
   regs_ = s.regs;
   pc_ = s.pc;
   stop_ = s.stop;
@@ -205,37 +308,14 @@ void Cpu::restore_state(const State& s) {
   stats_ = s.stats;
   taint_unit_.set_stats(s.taint_stats);
   protected_regions_ = s.protected_regions;
-  // Re-sizing the executable range also drops every cached decode; the
-  // cache refills lazily from the restored memory image.
-  set_executable_range(s.text_begin, s.text_end);
-}
-
-bool Cpu::restore_state_keep_caches(const State& s) {
-  if (s.text_begin != text_begin_ || s.text_end != text_end_) {
-    restore_state(s);
-    return false;
-  }
-  regs_ = s.regs;
-  pc_ = s.pc;
-  stop_ = s.stop;
-  alert_ = s.alert;
-  fault_message_ = s.fault_message;
-  exit_status_ = s.exit_status;
-  stats_ = s.stats;
-  taint_unit_.set_stats(s.taint_stats);
-  protected_regions_ = s.protected_regions;
-  // Decode cache, elide/leader bits and superblock translations survive:
-  // they are derived from text bytes the caller proves unchanged, page by
-  // page, via invalidate_decode_range on the delta-restored pages.
-  return true;
+  return use_code(std::move(program), s.text_begin, s.text_end);
 }
 
 void Cpu::set_leak_elision(const std::vector<uint8_t>& elision) {
-  leak_elide_bits_.assign(decode_cache_.size(), 0);
-  const size_t n = elision.size() < leak_elide_bits_.size()
-                       ? elision.size()
-                       : leak_elide_bits_.size();
-  for (size_t i = 0; i < n; ++i) leak_elide_bits_[i] = elision[i] ? 1 : 0;
+  std::vector<uint8_t>& bits = code_.leak_elide_bits;
+  bits.assign(code_.decode_cache.size(), 0);
+  const size_t n = std::min(elision.size(), bits.size());
+  for (size_t i = 0; i < n; ++i) bits[i] = elision[i] ? 1 : 0;
   // Leak elision is consulted at syscall time, not baked into decodes or
   // superblocks, so no cache flush is needed.
 }
@@ -245,7 +325,8 @@ bool Cpu::kernel_output_leak(uint32_t addr, uint32_t len) {
   if (policy_.mode == DetectionMode::kOff) return false;
   if (pc_ >= text_begin_) {
     const uint32_t idx = (pc_ - text_begin_) / 4;
-    if (idx < leak_elide_bits_.size() && leak_elide_bits_[idx]) return false;
+    const std::vector<uint8_t>& bits = code_.leak_elide_bits;
+    if (idx < bits.size() && bits[idx]) return false;
   }
   // §5.3-style annotation: output sites inside a may-publish function are
   // waived — the program is declared to publish pointers there on purpose.
@@ -374,18 +455,19 @@ StopReason Cpu::step() {
   // cached text range; otherwise (shellcode on the stack, raw cores) decode
   // from memory with identical semantics.
   const uint32_t idx = (pc_ - text_begin_) / 4;
-  if (pc_ >= text_begin_ && idx < decode_cache_.size()) {
-    if (!decode_valid_[idx]) {
-      decode_cache_[idx] = isa::decode(memory_.load_word(pc_).value);
-      decode_valid_[idx] =
-          idx < elide_bits_.size() && elide_bits_[idx] ? 2 : 1;
+  CodeImage& code = code_;
+  if (pc_ >= text_begin_ && idx < code.decode_cache.size()) {
+    if (!code.decode_valid[idx]) {
+      code.decode_cache[idx] = isa::decode(memory_.load_word(pc_).value);
+      code.decode_valid[idx] =
+          idx < code.elide_bits.size() && code.elide_bits[idx] ? 2 : 1;
     }
-    const Instruction& inst = decode_cache_[idx];
+    const Instruction& inst = code.decode_cache[idx];
     if (inst.op == Op::kInvalid) {
       fault("invalid instruction encoding");
       return stop_;
     }
-    return execute(inst, decode_valid_[idx] == 2);
+    return execute(inst, code.decode_valid[idx] == 2);
   }
   const uint32_t word = memory_.load_word(pc_).value;
   const Instruction inst = isa::decode(word);
@@ -520,16 +602,10 @@ StopReason Cpu::execute(const Instruction& inst, bool elide) {
       break;
     }
     case Op::kDiv: {
-      const auto a = static_cast<int32_t>(rs.value);
-      const auto b = static_cast<int32_t>(rt.value);
+      const auto [q, r] = signed_divide(rs.value, rt.value);
       const TaintBits t = static_cast<TaintBits>(rs.taint | rt.taint);
-      if (b == 0) {
-        regs_.set_lo(TaintedWord{0, t});
-        regs_.set_hi(TaintedWord{0, t});
-      } else {
-        regs_.set_lo(TaintedWord{static_cast<uint32_t>(a / b), t});
-        regs_.set_hi(TaintedWord{static_cast<uint32_t>(a % b), t});
-      }
+      regs_.set_lo(TaintedWord{q, t});
+      regs_.set_hi(TaintedWord{r, t});
       ++stats_.alu_ops;
       break;
     }

@@ -31,6 +31,7 @@ class Cpu;
 class SuperblockEngine;
 class JitEngine;
 struct JitRuntime;
+struct Superblock;
 
 /// Which execution engine drives the core (DESIGN.md §9, §12).  All three
 /// produce byte-identical architectural state, stop reasons, alerts and
@@ -86,6 +87,18 @@ struct JitStats {
   // executing — and is reclaimed only by reset().
   uint64_t invalidations = 0;
 };
+
+/// Signed DIV as PTA-32 defines it: {quotient, remainder}, both zero for
+/// a zero divisor, and INT32_MIN / -1 wrapping to {INT32_MIN, 0} — the one
+/// quotient a host `/` cannot produce (x86 traps on it).  Every engine
+/// divides through this.
+inline std::pair<uint32_t, uint32_t> signed_divide(uint32_t a, uint32_t b) {
+  if (b == 0) return {0, 0};
+  if (b == 0xffffffffu) return {0u - a, 0};
+  const auto sa = static_cast<int32_t>(a);
+  const auto sb = static_cast<int32_t>(b);
+  return {static_cast<uint32_t>(sa / sb), static_cast<uint32_t>(sa % sb)};
+}
 
 /// OS-services interface; the simulated kernel (src/os) implements it.
 class Os {
@@ -152,6 +165,48 @@ struct CpuStats {
   uint64_t compare_untaints = 0; // branch/SLT operand untainting events
 };
 
+/// Everything the engines derive from one program's text (DESIGN.md §9,
+/// §10): the decoded-instruction cache, the static elision and leader
+/// bitmaps, and the superblock translations.  A Cpu keeps the active image
+/// plus a few recently used ones, keyed by program, so a restore that
+/// switches snapshots swaps images instead of rebuilding them.
+///
+/// Validity is tracked per text page by page-object identity: `text_pages`
+/// holds the memory page each page's decodes were read from.  Memory pages
+/// are immutable once shared (mem/tainted_memory.hpp) and holding the
+/// pointer pins the object, so an equal pointer proves equal bytes — a
+/// freed and reused allocation can never alias.  A null entry means "not
+/// known"; the page is re-decoded on the next restore.
+struct CodeImage {
+  CodeImage();
+  ~CodeImage();  // out of line: Superblock is incomplete here
+  CodeImage(CodeImage&&) noexcept;
+  CodeImage& operator=(CodeImage&&) noexcept;
+
+  /// Re-keys this image to `program` over [begin, end) with every decode
+  /// invalid, no bitmaps and no blocks; keeps the vectors' storage.
+  void reset(std::shared_ptr<const void> program, uint32_t begin,
+             uint32_t end);
+
+  std::shared_ptr<const void> program;  // the key; pinned, so never aliased
+  uint32_t text_begin = 0;
+  uint32_t text_end = 0;
+  // Decoded-instruction cache over the executable range: fetching becomes
+  // one bounds check + one table read instead of a page lookup plus a
+  // decode.  decode_valid[i] gates entry i (0 = invalid, 1 = valid, 2 =
+  // valid with the pointer check elided); stores into text and kernel
+  // copies invalidate overlapping entries.
+  std::vector<isa::Instruction> decode_cache;
+  std::vector<uint8_t> decode_valid;
+  std::vector<uint8_t> elide_bits;       // per-instruction, set_check_elision
+  std::vector<uint8_t> leak_elide_bits;  // from set_leak_elision
+  std::vector<uint8_t> leader_bits;      // per-instruction CFG leaders
+  std::vector<std::shared_ptr<const mem::TaintedMemory::Page>> text_pages;
+  // Superblock translations: owning list plus per-decode-index entry map.
+  std::vector<Superblock*> block_at;
+  std::vector<std::unique_ptr<Superblock>> blocks;
+};
+
 class Cpu {
  public:
   /// The policy object must outlive the Cpu.
@@ -208,21 +263,36 @@ class Cpu {
   /// per-application annotations (the paper's proposed trade).
   void protect_region(uint32_t addr, uint32_t len, std::string name);
 
-  /// Declares the executable text range for NX enforcement (set by the
-  /// loader).  With policy.nx_protection, fetching outside it alerts.
-  /// Also sizes the decoded-instruction cache covering the range.
-  void set_executable_range(uint32_t begin, uint32_t end);
+  /// Declares `program`'s text, [begin, end), as the executable range —
+  /// the NX range, and the range its CodeImage covers — and activates that
+  /// image: the active one or a stashed one when it matches, else a fresh
+  /// one (evicting the least recently used past kCodeImages).  A kept
+  /// image re-decodes exactly the text pages whose memory page object
+  /// differs from the one it recorded, so it is valid for whatever memory
+  /// the caller has just installed.  Returns true for a fresh image: the
+  /// caller then installs its elision and leader bitmaps.  A null
+  /// `program` (a raw core) always gets a fresh image.
+  bool use_code(std::shared_ptr<const void> program, uint32_t begin,
+                uint32_t end);
+
+  /// Code images a core keeps, the active one included.  Sized by
+  /// measurement (DESIGN.md §10): four covers the most apps a served
+  /// session machine cycles through; eight cost attack-warm, whose 15
+  /// programs per machine outrun any small LRU, +12% peak RSS.
+  static constexpr size_t kCodeImages = 4;
 
   /// Installs the static analyzer's check-elision bitmap (one byte per
   /// text instruction, 1 = the pointer-taintedness check at that PC is
   /// statically proven to never fire; see src/analysis).  Elided PCs skip
   /// only detect_pointer — annotation checks, NX and the taint propagation
   /// itself are unaffected, so architectural state stays byte-identical.
-  /// Cleared by set_executable_range and per-entry by
-  /// invalidate_decode_range (self-modifying code voids the proof).
+  /// Part of the active CodeImage; cleared whole by
+  /// invalidate_decode_range (self-modifying code voids the proofs).
   void set_check_elision(const std::vector<uint8_t>& elision);
 
-  /// Drops cached decodes overlapping [addr, addr+len).  The store path
+  /// Drops cached decodes and translations overlapping [addr, addr+len),
+  /// forgets which page objects they were read from, and drops the image's
+  /// elision bitmaps (the proofs assumed the original text).  The store path
   /// calls this for guest stores into text; the OS layer calls it when a
   /// kernel copy (SYS_READ/SYS_RECV) lands in guest memory, so
   /// self-modifying code executes its current bytes.
@@ -231,8 +301,8 @@ class Cpu {
   /// Installs the static analyzer's basic-block leader bitmap (one byte per
   /// text instruction, 1 = a CFG block starts here).  The superblock engine
   /// ends translation at leaders so its blocks align with the static CFG;
-  /// purely a translation hint — never affects semantics.  Cleared by
-  /// set_executable_range.
+  /// purely a translation hint — never affects semantics.  Part of the
+  /// active CodeImage.
   void set_block_leaders(const std::vector<uint8_t>& leaders);
 
   /// Superblock-engine observability counters (zeros under kStep).
@@ -276,8 +346,8 @@ class Cpu {
   /// Installs the leak-site prover's elision bitmap (one byte per text
   /// instruction, 1 = no address-tainted byte can reach the output buffer
   /// of the syscall at that PC).  Same lifecycle as set_check_elision:
-  /// cleared by set_executable_range and, per entry, by
-  /// invalidate_decode_range (self-modifying code voids the proof).
+  /// part of the active CodeImage and cleared by invalidate_decode_range
+  /// (self-modifying code voids the proofs).
   void set_leak_elision(const std::vector<uint8_t>& elision);
 
   /// Observer invoked on every retired instruction — the pipeline timing
@@ -295,8 +365,8 @@ class Cpu {
 
   /// Complete architectural + bookkeeping state of the core, deep-copyable
   /// for machine snapshot/restore.  Everything that can influence a future
-  /// step() or report() is included; the decode cache is derived state and
-  /// is rebuilt lazily after restore.
+  /// step() or report() is included; the CodeImage is derived state, kept
+  /// by the restoring core per program and revalidated page by page.
   struct State {
     mem::RegisterFile regs;
     uint32_t pc = isa::layout::kTextBase;
@@ -311,16 +381,10 @@ class Cpu {
     uint32_t text_end = 0xffffffff;
   };
   State save_state() const;
-  void restore_state(const State& state);
-
-  /// Like restore_state, but keeps the decoded-instruction cache, elision
-  /// and leader bitmaps, and cached superblock translations — the
-  /// delta-restore path, where the restored memory image differs from the
-  /// current one only on pages the caller then passes to
-  /// invalidate_decode_range.  Falls back to a full restore_state (and
-  /// returns false) when the text range changed, since every derived
-  /// structure is sized to it.
-  bool restore_state_keep_caches(const State& state);
+  /// Restores `state` over memory the caller has already restored, then
+  /// activates `program`'s code image via use_code (same return value).
+  bool restore_state(const State& state,
+                     std::shared_ptr<const void> program);
 
  private:
   friend class SuperblockEngine;  // handlers mirror execute() bit-for-bit
@@ -328,6 +392,9 @@ class Cpu {
   friend struct JitRuntime;       // out-of-line slow paths for emitted code
 
   StopReason execute(const isa::Instruction& inst, bool elide = false);
+  /// Clears the active image's elision bitmaps; every site is checked
+  /// dynamically from here on.
+  void drop_elision();
   bool detect_pointer(const isa::Instruction& inst, uint8_t reg,
                       mem::TaintedWord value, AlertKind kind);
   bool detect_annotation(const isa::Instruction& inst, uint32_t ea,
@@ -354,21 +421,13 @@ class Cpu {
   uint32_t text_begin_ = 0;
   uint32_t text_end_ = 0xffffffff;
 
-  // Decoded-instruction cache over the executable range: fetching becomes
-  // one bounds check + one table read instead of a page lookup plus a
-  // decode.  decode_valid_[i] gates entry i (0 = invalid, 1 = valid,
-  // 2 = valid with the pointer check elided); stores into text and kernel
-  // copies invalidate overlapping entries.
-  std::vector<isa::Instruction> decode_cache_;
-  std::vector<uint8_t> decode_valid_;
-  std::vector<uint8_t> elide_bits_;  // per-instruction, from set_check_elision
-  std::vector<uint8_t> leak_elide_bits_;  // from set_leak_elision
+  CodeImage code_;                 // the active image (use_code)
+  std::vector<CodeImage> stashed_;  // the others, most recent first
   // Annotated may-publish PC ranges, end-exclusive (set_publish_ranges).
   std::vector<std::pair<uint32_t, uint32_t>> publish_ranges_;
 
   Engine engine_ = Engine::kStep;
   std::unique_ptr<SuperblockEngine> sb_;   // created lazily by set_engine
-  std::vector<uint8_t> leader_bits_;       // per-instruction CFG leaders
 };
 
 }  // namespace ptaint::cpu

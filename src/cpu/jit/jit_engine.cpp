@@ -211,8 +211,8 @@ StopReason JitEngine::advance(uint64_t n) {
     const uint32_t pc = c.pc_;
     if (pc % 4 == 0 && pc >= c.text_begin_) {
       const uint32_t idx = (pc - c.text_begin_) / 4;
-      if (idx < sb_.block_at_.size()) {
-        blk = sb_.block_at_[idx];
+      if (idx < c.code_.block_at.size()) {
+        blk = c.code_.block_at[idx];
         if (blk == nullptr) blk = sb_.translate(pc, idx);
       }
     }

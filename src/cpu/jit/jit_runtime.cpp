@@ -387,16 +387,10 @@ void JitRuntime::muldiv(Cpu* c, const MicroOp* u) {
       break;
     }
     case Op::kDiv: {
-      const auto da = static_cast<int32_t>(a.value);
-      const auto db = static_cast<int32_t>(b2.value);
+      const auto [q, r] = signed_divide(a.value, b2.value);
       const auto t = static_cast<mem::TaintBits>(a.taint | b2.taint);
-      if (db == 0) {
-        regs.set_lo(TaintedWord{0, t});
-        regs.set_hi(TaintedWord{0, t});
-      } else {
-        regs.set_lo(TaintedWord{static_cast<uint32_t>(da / db), t});
-        regs.set_hi(TaintedWord{static_cast<uint32_t>(da % db), t});
-      }
+      regs.set_lo(TaintedWord{q, t});
+      regs.set_hi(TaintedWord{r, t});
       break;
     }
     case Op::kDivu: {

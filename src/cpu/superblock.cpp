@@ -50,20 +50,21 @@ bool is_terminator(Op op) {
 SuperblockEngine::Block* SuperblockEngine::translate(uint32_t pc,
                                                      uint32_t idx0) {
   Cpu& c = cpu_;
-  auto& dcache = c.decode_cache_;
-  auto& dvalid = c.decode_valid_;
+  CodeImage& code = c.code_;
+  auto& dcache = code.decode_cache;
+  auto& dvalid = code.decode_valid;
 
   // Decode through the Cpu's cache with step()'s exact fill rule, so the
   // cache ends up in the same state either engine would leave it in.
   const auto decode_at = [&](uint32_t j, uint32_t jpc) -> const Instruction& {
     if (!dvalid[j]) {
       dcache[j] = isa::decode(c.memory_.load_word(jpc).value);
-      dvalid[j] = j < c.elide_bits_.size() && c.elide_bits_[j] ? 2 : 1;
+      dvalid[j] = j < code.elide_bits.size() && code.elide_bits[j] ? 2 : 1;
     }
     return dcache[j];
   };
   const auto is_leader = [&](uint32_t j) {
-    return j < c.leader_bits_.size() && c.leader_bits_[j] != 0;
+    return j < code.leader_bits.size() && code.leader_bits[j] != 0;
   };
 
   auto blk = std::make_unique<Block>();
@@ -210,13 +211,9 @@ SuperblockEngine::Block* SuperblockEngine::translate(uint32_t pc,
   blk->byte_len = blk->guest_len * 4;
 
   Block* raw = blk.get();
-  block_at_[idx0] = raw;
-  blocks_.push_back(std::move(blk));
+  code.block_at[idx0] = raw;
+  code.blocks.push_back(std::move(blk));
   ++stats_.blocks_translated;
-  ++stats_.blocks;
-  stats_.guest_instructions += raw->guest_len;
-  stats_.uops += raw->uops.size();
-  stats_.fused_pairs += raw->fused;
   return raw;
 }
 
@@ -224,61 +221,70 @@ SuperblockEngine::Block* SuperblockEngine::translate(uint32_t pc,
 // Cache maintenance
 // ---------------------------------------------------------------------------
 
-void SuperblockEngine::ensure_capacity() {
-  if (block_at_.size() != cpu_.decode_valid_.size()) reset();
+const SuperblockStats& SuperblockEngine::stats() const {
+  stats_.blocks = cpu_.code_.blocks.size();
+  stats_.guest_instructions = stats_.uops = stats_.fused_pairs = 0;
+  for (const auto& blk : cpu_.code_.blocks) {
+    stats_.guest_instructions += blk->guest_len;
+    stats_.uops += blk->uops.size();
+    stats_.fused_pairs += blk->fused;
+  }
+  return stats_;
 }
 
 void SuperblockEngine::reset() {
   ++gen_;
-  blocks_.clear();
+  CodeImage& code = cpu_.code_;
+  code.blocks.clear();
+  std::fill(code.block_at.begin(), code.block_at.end(), nullptr);
   graveyard_.clear();
-  block_at_.assign(cpu_.decode_valid_.size(), nullptr);
-  stats_.blocks = 0;
-  stats_.guest_instructions = 0;
-  stats_.uops = 0;
-  stats_.fused_pairs = 0;
   // Every translation is gone, so no compiled body can be mid-execution:
   // the only safe point to rewind the code arena.
   if (jit_ != nullptr) jit_->on_reset();
 }
 
+void SuperblockEngine::on_switch(CodeImage& outgoing) {
+  ++gen_;  // chain memos are only ever taken within one image
+  graveyard_.clear();  // between runs: nothing in it can be executing
+  if (jit_ == nullptr || cpu_.engine_ != Engine::kJit) return;
+  // Host code lives in the one arena, rewound here; the outgoing image
+  // keeps its decodes and bitmaps but not translations that point into it.
+  outgoing.blocks.clear();
+  std::fill(outgoing.block_at.begin(), outgoing.block_at.end(), nullptr);
+  jit_->on_reset();
+}
+
 void SuperblockEngine::flush_all() {
-  if (blocks_.empty()) return;
+  CodeImage& code = cpu_.code_;
+  if (code.blocks.empty()) return;
   ++gen_;
-  for (auto& blk : blocks_) {
+  for (auto& blk : code.blocks) {
     blk->retired = true;
     if (blk->host != nullptr && jit_ != nullptr) jit_->note_block_dropped(*blk);
     graveyard_.push_back(std::move(blk));
   }
-  blocks_.clear();
-  std::fill(block_at_.begin(), block_at_.end(), nullptr);
-  stats_.blocks = 0;
-  stats_.guest_instructions = 0;
-  stats_.uops = 0;
-  stats_.fused_pairs = 0;
+  code.blocks.clear();
+  std::fill(code.block_at.begin(), code.block_at.end(), nullptr);
 }
 
 void SuperblockEngine::on_invalidate(uint32_t addr, uint32_t len) {
-  if (blocks_.empty() || len == 0) return;
+  CodeImage& code = cpu_.code_;
+  if (code.blocks.empty() || len == 0) return;
   ++gen_;  // conservatively drops every chain memo, hit or not
   const uint32_t lo = addr;
   const uint32_t hi = addr + len;
-  for (size_t i = 0; i < blocks_.size();) {
-    Block* blk = blocks_[i].get();
+  for (size_t i = 0; i < code.blocks.size();) {
+    Block* blk = code.blocks[i].get();
     if (blk->entry_pc < hi && blk->entry_pc + blk->byte_len > lo) {
       blk->retired = true;
       if (blk->host != nullptr && jit_ != nullptr) jit_->note_block_dropped(*blk);
-      block_at_[(blk->entry_pc - cpu_.text_begin_) / 4] = nullptr;
-      --stats_.blocks;
-      stats_.guest_instructions -= blk->guest_len;
-      stats_.uops -= blk->uops.size();
-      stats_.fused_pairs -= blk->fused;
+      code.block_at[(blk->entry_pc - cpu_.text_begin_) / 4] = nullptr;
       ++stats_.invalidations;
       // Keep the storage alive until the dispatch loop is between blocks:
       // the store that triggered this invalidation may live in `blk`.
-      graveyard_.push_back(std::move(blocks_[i]));
-      blocks_[i] = std::move(blocks_.back());
-      blocks_.pop_back();
+      graveyard_.push_back(std::move(code.blocks[i]));
+      code.blocks[i] = std::move(code.blocks.back());
+      code.blocks.pop_back();
     } else {
       ++i;
     }
@@ -590,16 +596,10 @@ dispatch_top:
         break;
       }
       case Op::kDiv: {
-        const auto da = static_cast<int32_t>(a.value);
-        const auto db = static_cast<int32_t>(b2.value);
+        const auto [q, r] = signed_divide(a.value, b2.value);
         const auto t = static_cast<mem::TaintBits>(a.taint | b2.taint);
-        if (db == 0) {
-          regs.set_lo(TaintedWord{0, t});
-          regs.set_hi(TaintedWord{0, t});
-        } else {
-          regs.set_lo(TaintedWord{static_cast<uint32_t>(da / db), t});
-          regs.set_hi(TaintedWord{static_cast<uint32_t>(da % db), t});
-        }
+        regs.set_lo(TaintedWord{q, t});
+        regs.set_hi(TaintedWord{r, t});
         break;
       }
       case Op::kDivu: {
@@ -1055,7 +1055,7 @@ dispatch_top:
   // loops inside the chain) and fits the remaining budget.  Anything
   // irregular — off-text target, budget tail, invalid entry — returns to
   // advance(), whose step() fallback has reference semantics.  Blocks this
-  // one invalidated are nulled in block_at_ before we get here, so a chain
+  // one invalidated are nulled in block_at before we get here, so a chain
   // can never enter stale translations; a self-invalidated block returns
   // through its store handler instead (cur->retired).
 chain_next: {
@@ -1068,8 +1068,8 @@ chain_next: {
   } else {
     if (npc % 4 != 0 || npc < c.text_begin_) return;
     const uint32_t idx = (npc - c.text_begin_) / 4;
-    if (idx >= block_at_.size()) return;
-    next = block_at_[idx];
+    if (idx >= c.code_.block_at.size()) return;
+    next = c.code_.block_at[idx];
     if (next == nullptr) {
       next = translate(npc, idx);
       if (next == nullptr) return;
@@ -1098,7 +1098,6 @@ chain_next: {
 
 StopReason SuperblockEngine::advance(uint64_t n) {
   Cpu& c = cpu_;
-  ensure_capacity();
   if (jit_ != nullptr && c.engine_ == Engine::kJit) return jit_->advance(n);
   uint64_t remaining = n;
   while (remaining > 0 && c.stop_ == StopReason::kRunning) {
@@ -1106,8 +1105,8 @@ StopReason SuperblockEngine::advance(uint64_t n) {
     const uint32_t pc = c.pc_;
     if (pc % 4 == 0 && pc >= c.text_begin_) {
       const uint32_t idx = (pc - c.text_begin_) / 4;
-      if (idx < block_at_.size()) {
-        blk = block_at_[idx];
+      if (idx < c.code_.block_at.size()) {
+        blk = c.code_.block_at[idx];
         if (blk == nullptr) blk = translate(pc, idx);
       }
     }

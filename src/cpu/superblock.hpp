@@ -24,8 +24,11 @@
 // block executions, so a block invalidating *itself* mid-run keeps a valid
 // micro-op array; the store handlers then abort the block with the PC of
 // the next instruction and execution resumes through fresh translation.
-// snapshot/restore flushes everything via Cpu::set_executable_range; blocks
-// are derived state and refill lazily, exactly like the decode cache.
+// The blocks themselves live in the Cpu's active CodeImage (cpu.hpp), so a
+// snapshot restore keeps them exactly where it keeps the decodes: on text
+// pages whose page object is the one they were translated from.  Under
+// the jit a switch to another image drops the translations instead, since
+// compiled host code lives in one per-engine arena (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,8 @@
 namespace ptaint::cpu {
 
 class SuperblockEngine {
+  friend struct Superblock;  // holds the engine's micro-op array
+
  public:
   explicit SuperblockEngine(Cpu& cpu) : cpu_(cpu) {}
   ~SuperblockEngine();  // out-of-line: unique_ptr to the incomplete JitEngine
@@ -60,15 +65,22 @@ class SuperblockEngine {
   /// self-modifying-code path, forwarded from Cpu::invalidate_decode_range.
   void on_invalidate(uint32_t addr, uint32_t len);
 
-  /// Drops every cached block (elision/leader bitmap changed); safe to call
-  /// between runs only.
+  /// Drops every cached block of the active image (elision/leader bitmap
+  /// changed); safe to call between runs only.
   void flush_all();
 
-  /// Drops all blocks and re-sizes the cache to the CPU's current decoded
-  /// text range (set_executable_range / snapshot restore).
+  /// Drops every block of the active image and rewinds the jit's code
+  /// arena (engine switch).
   void reset();
 
-  const SuperblockStats& stats() const { return stats_; }
+  /// The Cpu is about to stash `outgoing` and activate another image.
+  /// Chain memos go stale; under the jit the outgoing translations are
+  /// dropped and the arena rewound, so no stashed image ever refers to host
+  /// code.
+  void on_switch(CodeImage& outgoing);
+
+  /// Cumulative counters plus the live shape of the active image's cache.
+  const SuperblockStats& stats() const;
 
  private:
   friend class JitEngine;   // compiles Block micro-op arrays to host code
@@ -101,27 +113,7 @@ class SuperblockEngine {
     isa::Instruction inst2;  // second instruction of a fused pair
   };
 
-  struct Block {
-    uint32_t entry_pc = 0;
-    uint32_t guest_len = 0;  // guest instructions covered
-    uint32_t byte_len = 0;   // text bytes covered (invalidation overlap)
-    uint32_t fused = 0;      // fused pairs inside
-    bool retired = false;    // flushed while possibly executing
-    // Chain memo: the successor block this one last exited into, keyed by
-    // exit pc and validated against the engine's invalidation generation.
-    // Loops chain block-to-block without touching block_at_ at all.
-    Block* succ = nullptr;
-    uint32_t succ_pc = 0;
-    uint64_t succ_gen = 0;
-    // JIT tier (DESIGN.md §12).  `host` points into the engine-owned code
-    // arena once the block compiles; `heat` counts trampoline entries until
-    // the compile threshold; `no_jit` latches a compiler bailout so the
-    // block stays on the interpreted path without re-scanning.
-    const uint8_t* host = nullptr;
-    uint32_t heat = 0;
-    uint8_t no_jit = 0;
-    std::vector<MicroOp> uops;
-  };
+  using Block = Superblock;
 
   Block* translate(uint32_t pc, uint32_t idx);
   /// Executes `blk` and then chains: block-exit handlers dispatch straight
@@ -130,17 +122,40 @@ class SuperblockEngine {
   /// Chaining is what makes short, branchy blocks cheap — the per-entry
   /// bookkeeping in advance() would otherwise dominate 3-instruction loops.
   void exec_block(Block& blk, uint64_t budget);
-  void ensure_capacity();
 
   Cpu& cpu_;
-  // Bumped whenever any translation dies (invalidation, flush, reset), so
-  // every Block::succ memo taken under an older generation stops matching.
+  // Bumped whenever any translation dies or the active image changes
+  // (invalidation, flush, reset, switch), so every Block::succ memo taken
+  // under an older generation stops matching.
   uint64_t gen_ = 1;
-  std::vector<Block*> block_at_;  // per decode index, non-owning
-  std::vector<std::unique_ptr<Block>> blocks_;     // live, owning
   std::vector<std::unique_ptr<Block>> graveyard_;  // invalidated mid-advance
-  SuperblockStats stats_;
+  // Cumulative counters; stats() fills in the live shape on demand.
+  mutable SuperblockStats stats_;
   std::unique_ptr<JitEngine> jit_;  // attached by enable_jit (Engine::kJit)
+};
+
+/// One translated superblock, owned by the CodeImage whose text it covers
+/// (CodeImage::blocks, indexed by entry in CodeImage::block_at).
+struct Superblock {
+  uint32_t entry_pc = 0;
+  uint32_t guest_len = 0;  // guest instructions covered
+  uint32_t byte_len = 0;   // text bytes covered (invalidation overlap)
+  uint32_t fused = 0;      // fused pairs inside
+  bool retired = false;    // flushed while possibly executing
+  // Chain memo: the successor block this one last exited into, keyed by
+  // exit pc and validated against the engine's invalidation generation.
+  // Loops chain block-to-block without touching block_at at all.
+  Superblock* succ = nullptr;
+  uint32_t succ_pc = 0;
+  uint64_t succ_gen = 0;
+  // JIT tier (DESIGN.md §12).  `host` points into the engine-owned code
+  // arena once the block compiles; `heat` counts trampoline entries until
+  // the compile threshold; `no_jit` latches a compiler bailout so the
+  // block stays on the interpreted path without re-scanning.
+  const uint8_t* host = nullptr;
+  uint32_t heat = 0;
+  uint8_t no_jit = 0;
+  std::vector<SuperblockEngine::MicroOp> uops;
 };
 
 }  // namespace ptaint::cpu

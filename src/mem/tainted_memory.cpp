@@ -84,14 +84,9 @@ void TaintedMemory::deep_copy_from(const TaintedMemory& other) {
   qstats_ = {};
 }
 
-std::optional<std::vector<uint32_t>> TaintedMemory::delta_restore(
-    const TaintedMemory& base) {
-  if (!tracking_ || base_id_ != base.id_ || this == &base) {
-    return std::nullopt;
-  }
-  std::vector<uint32_t> restored(dirty_.begin(), dirty_.end());
-  std::sort(restored.begin(), restored.end());
-  for (uint32_t idx : restored) {
+bool TaintedMemory::delta_restore(const TaintedMemory& base) {
+  if (!tracking_ || base_id_ != base.id_ || this == &base) return false;
+  for (uint32_t idx : dirty_) {
     const auto it = base.pages_.find(idx);
     if (it == base.pages_.end()) {
       pages_.erase(idx);  // page created after the copy: unmap it again
@@ -99,6 +94,7 @@ std::optional<std::vector<uint32_t>> TaintedMemory::delta_restore(
       pages_[idx] = it->second;  // diverged page: drop back to the shared block
     }
   }
+  cstats_.pages_delta_restored += dirty_.size();
   dirty_.clear();
   // Clean pages still share the base's blocks and the dirty ones were just
   // reverted, so the rollups are the base's rollups — no scan needed.
@@ -111,20 +107,53 @@ std::optional<std::vector<uint32_t>> TaintedMemory::delta_restore(
   wmemo_page_ = nullptr;
   qstats_ = {};
   ++cstats_.delta_restores;
-  cstats_.pages_delta_restored += restored.size();
   // Same conditional write-memo invalidation as share_from (no-op for the
   // shared-snapshot case, where the base never had a write memo).
   if (base.wmemo_index_ != kNoPage) {
     base.wmemo_index_ = kNoPage;
     base.wmemo_page_ = nullptr;
   }
-  return restored;
+  return true;
 }
 
 void TaintedMemory::forget_base() {
   tracking_ = false;
   base_id_ = 0;
   dirty_.clear();
+}
+
+bool TaintedMemory::holds_words(uint32_t addr,
+                                std::span<const uint32_t> words) const {
+  size_t i = 0;
+  while (i < words.size()) {
+    const uint32_t a = addr + 4 * static_cast<uint32_t>(i);
+    const uint32_t off = page_offset(a);
+    const size_t n = std::min<size_t>(words.size() - i, (kPageSize - off) / 4);
+    const Page* p = page_at(a >> kPageShift);
+    for (size_t k = 0; k < n; ++k, ++i) {
+      uint32_t v = 0;
+      if (p != nullptr) {
+        const uint8_t* d = p->data.data() + off + 4 * k;
+        v = static_cast<uint32_t>(d[0]) | (static_cast<uint32_t>(d[1]) << 8) |
+            (static_cast<uint32_t>(d[2]) << 16) |
+            (static_cast<uint32_t>(d[3]) << 24);
+      }
+      if (v != words[i]) return false;
+    }
+  }
+  return true;
+}
+
+std::shared_ptr<const TaintedMemory::Page> TaintedMemory::pin_page(
+    uint32_t idx) {
+  const auto it = pages_.find(idx);
+  if (it == pages_.end()) return nullptr;
+  // The write memo promises exclusive ownership, which this share ends.
+  if (wmemo_index_ == idx) {
+    wmemo_index_ = kNoPage;
+    wmemo_page_ = nullptr;
+  }
+  return it->second;
 }
 
 std::vector<std::pair<uint32_t, std::shared_ptr<TaintedMemory::Page>>>

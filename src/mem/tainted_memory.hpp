@@ -236,13 +236,12 @@ class TaintedMemory {
   void deep_copy_from(const TaintedMemory& other);
 
   /// Delta restore: if this memory was last copied from `base` (same id),
-  /// drop every page it has diverged on back to the shared block and return
-  /// the page indices that were reverted (the caller invalidates derived
-  /// state — decode caches — for exactly those pages).  Clean pages are
-  /// untouched.  Returns nullopt (and changes nothing) when the base does
-  /// not match; the caller falls back to a full copy.
-  std::optional<std::vector<uint32_t>> delta_restore(
-      const TaintedMemory& base);
+  /// drop every page it has diverged on back to the shared block and
+  /// return true.  Clean pages are untouched.  Returns false (and changes
+  /// nothing) when the base does not match; the caller falls back to a
+  /// full copy.  Derived state needs no page list: the CPU's code images
+  /// compare page objects (cpu::CodeImage).
+  bool delta_restore(const TaintedMemory& base);
 
   /// Drops the delta-tracking baseline (e.g. after the owner loads a new
   /// program into this memory): the next restore must be a full copy.
@@ -265,6 +264,24 @@ class TaintedMemory {
   /// Pages this memory has diverged on (created or copied-on-write) since
   /// it last copied from its base; 0 when not tracking a base.
   size_t dirty_page_count() const { return dirty_.size(); }
+
+  /// The block mapped at page `idx` (null when unmapped) — an identity to
+  /// compare, not to read through.
+  const Page* page_at(uint32_t idx) const {
+    const auto it = pages_.find(idx);
+    return it == pages_.end() ? nullptr : it->second.get();
+  }
+
+  /// True when the aligned words at `addr` equal `words` (unmapped memory
+  /// reads as zero).  Page-wise, without touching the access memos.
+  bool holds_words(uint32_t addr, std::span<const uint32_t> words) const;
+
+  /// Shares the block mapped at page `idx` (null when unmapped) with a
+  /// caller that caches state derived from its bytes (the CPU's code
+  /// images).  The extra reference makes the block shared, so the next
+  /// write through this memory clones it first: the block's bytes never
+  /// change while the caller holds it.
+  std::shared_ptr<const Page> pin_page(uint32_t idx);
 
   // --- content-addressed snapshot store hooks (DESIGN.md §13) -------------
 

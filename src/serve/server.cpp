@@ -107,21 +107,27 @@ void ServeDaemon::start() {
   if (listen_fd_ < 0) {
     throw std::runtime_error(std::string("socket: ") + std::strerror(errno));
   }
+  // Bind under a staging name and rename into place once listening: the
+  // socket path then never names a socket that refuses connections, so a
+  // client that waits for the path to appear cannot race bind and listen.
+  const std::string staging = config_.socket_path + ".tmp";
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  if (config_.socket_path.size() >= sizeof addr.sun_path) {
+  if (staging.size() >= sizeof addr.sun_path) {
     throw std::runtime_error("socket path too long: " + config_.socket_path);
   }
-  std::strncpy(addr.sun_path, config_.socket_path.c_str(),
-               sizeof addr.sun_path - 1);
-  ::unlink(config_.socket_path.c_str());
+  std::strncpy(addr.sun_path, staging.c_str(), sizeof addr.sun_path - 1);
+  ::unlink(staging.c_str());
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
       0) {
-    throw std::runtime_error("bind " + config_.socket_path + ": " +
-                             std::strerror(errno));
+    throw std::runtime_error("bind " + staging + ": " + std::strerror(errno));
   }
   if (::listen(listen_fd_, 128) < 0) {
     throw std::runtime_error(std::string("listen: ") + std::strerror(errno));
+  }
+  if (::rename(staging.c_str(), config_.socket_path.c_str()) < 0) {
+    throw std::runtime_error("rename " + staging + ": " +
+                             std::strerror(errno));
   }
 
   running_.store(true);

@@ -9,6 +9,7 @@
 
 #include "asmgen/assembler.hpp"
 #include "isa/isa.hpp"
+#include "program_gen.hpp"
 
 namespace ptaint {
 namespace {
@@ -17,56 +18,8 @@ using asmgen::assemble;
 using asmgen::AssemblyError;
 using isa::Instruction;
 using isa::Op;
-
-Instruction representative(Op op) {
-  Instruction in;
-  in.op = op;
-  switch (isa::op_format(op)) {
-    case isa::Format::kR:
-      in.rd = 2;
-      in.rs = 4;
-      in.rt = 21;
-      if (op == Op::kSll || op == Op::kSrl || op == Op::kSra) {
-        in.rs = 0;  // canonical shift-immediate encoding has rs = 0
-        in.shamt = 7;
-      }
-      if (op == Op::kJr) {
-        in.rd = in.rt = 0;
-      }
-      if (op == Op::kJalr) {
-        in.rd = 31;
-        in.rt = 0;
-      }
-      if (op == Op::kMult || op == Op::kMultu || op == Op::kDiv ||
-          op == Op::kDivu) {
-        in.rd = 0;
-      }
-      if (op == Op::kTaintSet || op == Op::kTaintClr) in.rt = 0;
-      if (op == Op::kMfhi || op == Op::kMflo) in.rs = in.rt = 0;
-      if (op == Op::kMthi || op == Op::kMtlo) in.rd = in.rt = 0;
-      if (op == Op::kSyscall || op == Op::kBreak) in.rd = in.rs = in.rt = 0;
-      break;
-    case isa::Format::kI:
-      in.rt = 21;
-      in.rs = 4;
-      in.imm = (op == Op::kAndi || op == Op::kOri || op == Op::kXori)
-                   ? 0x1234
-                   : -28;
-      if (op == Op::kLui) {
-        in.rs = 0;
-        in.imm = 0x1002;
-      }
-      if (op == Op::kBltz || op == Op::kBgez || op == Op::kBltzal ||
-          op == Op::kBgezal || op == Op::kBlez || op == Op::kBgtz) {
-        in.rt = 0;
-      }
-      break;
-    case isa::Format::kJ:
-      in.target = 0x00400100;
-      break;
-  }
-  return in;
-}
+using testgen::randomized;
+using testgen::representative;
 
 class DisasmAssembleRoundTrip : public ::testing::TestWithParam<int> {};
 
@@ -85,64 +38,6 @@ TEST_P(DisasmAssembleRoundTrip, Identity) {
 INSTANTIATE_TEST_SUITE_P(AllOps, DisasmAssembleRoundTrip,
                          ::testing::Range(static_cast<int>(Op::kSll),
                                           static_cast<int>(Op::kJal) + 1));
-
-/// Randomized variant of `representative`: random register/immediate fields
-/// with the same per-op canonical constraints the encoder demands.  Branch
-/// and jump targets land inside a stream of `n` instructions at position
-/// `index` so the disassembled text reassembles in any context.
-Instruction randomized(Op op, std::mt19937& rng, size_t index, size_t n) {
-  Instruction in = representative(op);
-  auto reg = [&] { return static_cast<uint8_t>(rng() % 32); };
-  auto simm = [&] { return static_cast<int32_t>(rng() % 0x10000) - 0x8000; };
-  switch (isa::op_format(op)) {
-    case isa::Format::kR:
-      in.rd = reg();
-      in.rs = reg();
-      in.rt = reg();
-      if (op == Op::kSll || op == Op::kSrl || op == Op::kSra) {
-        in.rs = 0;
-        in.shamt = static_cast<uint8_t>(rng() % 32);
-      }
-      if (op == Op::kJr) in.rd = in.rt = 0;
-      if (op == Op::kJalr) {
-        in.rd = 31;  // canonical link register form
-        in.rt = 0;
-      }
-      if (op == Op::kMult || op == Op::kMultu || op == Op::kDiv ||
-          op == Op::kDivu) {
-        in.rd = 0;
-      }
-      if (op == Op::kTaintSet || op == Op::kTaintClr) in.rt = 0;
-      if (op == Op::kMfhi || op == Op::kMflo) in.rs = in.rt = 0;
-      if (op == Op::kMthi || op == Op::kMtlo) in.rd = in.rt = 0;
-      if (op == Op::kSyscall || op == Op::kBreak) in.rd = in.rs = in.rt = 0;
-      break;
-    case isa::Format::kI:
-      in.rt = reg();
-      in.rs = reg();
-      in.imm = simm();
-      if (op == Op::kAndi || op == Op::kOri || op == Op::kXori) {
-        in.imm = static_cast<int32_t>(rng() % 0x10000);
-      }
-      if (op == Op::kLui) {
-        in.rs = 0;
-        in.imm = static_cast<int32_t>(rng() % 0x10000);
-      }
-      if (isa::op_class(op) == isa::OpClass::kBranch) {
-        if (op != Op::kBeq && op != Op::kBne) in.rt = 0;
-        // Aim at a random instruction in the stream: offset (in words)
-        // from the delay-free next pc.
-        const auto target = static_cast<int32_t>(rng() % n);
-        in.imm = target - static_cast<int32_t>(index) - 1;
-      }
-      break;
-    case isa::Format::kJ:
-      in.target = isa::layout::kTextBase +
-                  4 * static_cast<uint32_t>(rng() % n);
-      break;
-  }
-  return in;
-}
 
 // Satellite property test: disassemble -> assemble -> encode is the
 // identity for EVERY operation under randomized fields, >= 10k cases.

@@ -272,5 +272,129 @@ TEST(Snapshot, ConcurrentForkRestoreStress) {
   }
 }
 
+// --- code images across snapshot switches ----------------------------------
+//
+// A restore that switches snapshots keeps the core's code image for each
+// recently run program (cpu::CodeImage) and re-derives only text pages
+// whose page object changed.  Each test compares a pooled machine against
+// a machine that never ran anything else, on all three engines.
+
+constexpr cpu::Engine kAllEngines[] = {
+    cpu::Engine::kStep, cpu::Engine::kSuperblock, cpu::Engine::kJit};
+
+MachineConfig on_engine(cpu::Engine engine, bool elide = false) {
+  MachineConfig cfg;
+  cfg.engine = engine;
+  cfg.static_elision = elide;
+  return cfg;
+}
+
+MachineSnapshot boot_source(const std::string& source, cpu::Engine engine) {
+  Machine m(on_engine(engine));
+  m.load_source(source);
+  return m.snapshot();
+}
+
+std::string fresh_fingerprint(const MachineSnapshot& snap,
+                              const MachineConfig& cfg) {
+  Machine m(cfg);
+  m.restore(snap);
+  return fingerprint(m.run());
+}
+
+/// A counted loop whose exit status depends on `k`: distinct programs
+/// with identical shape.
+std::string countdown_source(int k) {
+  return R"(
+    .text
+_start:
+    li $t0, )" + std::to_string(k) + R"(
+    li $t1, 0
+loop:
+    addu $t1, $t1, $t0
+    addiu $t0, $t0, -1
+    bgtz $t0, loop
+    move $a0, $t1
+    li $v0, 1
+    syscall
+)";
+}
+
+TEST(Snapshot, SelfModifyingProgramAcrossSwitchToAnotherAndBack) {
+  for (const cpu::Engine engine : kAllEngines) {
+    const MachineSnapshot smc = boot_source(kSelfModifying, engine);
+    const MachineSnapshot other = boot_source(countdown_source(20), engine);
+    const std::string want_smc = fresh_fingerprint(smc, on_engine(engine));
+    const std::string want_other =
+        fresh_fingerprint(other, on_engine(engine));
+
+    Machine pooled(on_engine(engine));
+    for (int round = 0; round < 3; ++round) {
+      // The patch run leaves the image's record of the code page stale;
+      // coming back must re-decode it from the snapshot's unpatched page.
+      pooled.restore(smc);
+      const RunReport r = pooled.run();
+      EXPECT_EQ(r.exit_status, 42) << cpu::to_string(engine);
+      EXPECT_EQ(fingerprint(r), want_smc) << cpu::to_string(engine);
+      pooled.restore(other);
+      EXPECT_EQ(fingerprint(pooled.run()), want_other)
+          << cpu::to_string(engine);
+    }
+  }
+}
+
+TEST(Snapshot, CyclingMoreProgramsThanCodeImagesMatchesFreshBoot) {
+  constexpr size_t kPrograms = cpu::Cpu::kCodeImages + 1;
+  for (const cpu::Engine engine : kAllEngines) {
+    std::vector<MachineSnapshot> snaps;
+    std::vector<std::string> want;
+    for (size_t i = 0; i < kPrograms; ++i) {
+      snaps.push_back(
+          boot_source(countdown_source(10 + static_cast<int>(i)), engine));
+      want.push_back(fresh_fingerprint(snaps.back(), on_engine(engine)));
+    }
+    // Cycling capacity + 1 programs evicts the least recently used image
+    // on every restore; reversing the order then hits the kept ones.
+    Machine pooled(on_engine(engine));
+    for (int round = 0; round < 2; ++round) {
+      for (size_t i = 0; i < kPrograms; ++i) {
+        pooled.restore(snaps[i]);
+        EXPECT_EQ(fingerprint(pooled.run()), want[i])
+            << cpu::to_string(engine) << " program " << i;
+      }
+    }
+    for (size_t i = kPrograms; i-- > 0;) {
+      pooled.restore(snaps[i]);
+      EXPECT_EQ(fingerprint(pooled.run()), want[i])
+          << cpu::to_string(engine) << " program " << i << " (reverse)";
+    }
+  }
+}
+
+TEST(Snapshot, SwitchingRestoresWithElisionMatchFreshBoot) {
+  const AttackId ids[] = {AttackId::kExp1Stack, AttackId::kExp2Heap,
+                          AttackId::kExp3Format};
+  std::vector<MachineSnapshot> snaps;
+  for (AttackId id : ids) {
+    snaps.push_back(make_scenario(id)->prepare_attack({})->snapshot());
+  }
+  for (const cpu::Engine engine : kAllEngines) {
+    std::vector<std::string> want;
+    for (const MachineSnapshot& snap : snaps) {
+      want.push_back(fresh_fingerprint(snap, on_engine(engine, true)));
+      // Elision never changes what a run reports.
+      EXPECT_EQ(want.back(), fresh_fingerprint(snap, on_engine(engine)));
+    }
+    Machine pooled(on_engine(engine, /*elide=*/true));
+    for (int round = 0; round < 3; ++round) {
+      for (size_t i = 0; i < snaps.size(); ++i) {
+        pooled.restore(snaps[i]);
+        EXPECT_EQ(fingerprint(pooled.run()), want[i])
+            << cpu::to_string(engine) << " snapshot " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ptaint::core
