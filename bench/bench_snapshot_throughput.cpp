@@ -34,8 +34,8 @@
 // workload under delta restores, switching restores and switching
 // restores that run another program in between, store dehydrate/hydrate
 // round-trips (byte-identical pages, identical reports from every tier),
-// then the coverage campaign on step and superblock plus store-backed
-// legs on all three engines — exit 1 on any divergence (made for the
+// then the coverage campaign on all three engines, plain and store-backed
+// — exit 1 on any divergence (made for the
 // sanitizer CI legs, where timing is meaningless anyway; the store legs
 // use a self-contained temp-dir disk tier).
 #include <algorithm>
@@ -45,6 +45,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -198,8 +200,9 @@ struct ServedCell {
   Spread run_us;
 };
 
-/// `switching`: the mix round-robin, so every restore on a pooled machine
-/// changes program whenever the mix has several per machine config.
+/// `switching`: every round runs the mix in a seeded shuffled order (the
+/// same orders in every repetition), as the daemon meets it, so nearly
+/// every restore on the pooled machine changes program and policy.
 /// Otherwise each job repeats back to back, so every restore returns to
 /// the snapshot the machine just ran.
 ServedCell measure_served(const std::vector<campaign::Job>& jobs,
@@ -214,13 +217,18 @@ ServedCell measure_served(const std::vector<campaign::Job>& jobs,
     for (size_t j = 0; j < jobs.size(); ++j) {  // warm pools and caches
       campaign::run_job(jobs[j], j, config, pool, counters);
     }
+    std::mt19937 rng(20050628);
+    std::vector<size_t> order(jobs.size());
     double restore_ms = 0.0;
     double run_ms = 0.0;
     for (int r = 0; r < kRounds; ++r) {
+      std::iota(order.begin(), order.end(), size_t{0});
+      if (switching) std::shuffle(order.begin(), order.end(), rng);
       for (size_t j = 0; j < jobs.size(); ++j) {
         const size_t pick =
-            switching ? j : (static_cast<size_t>(r) * jobs.size() + j) /
-                                static_cast<size_t>(kRounds);
+            switching ? order[j]
+                      : (static_cast<size_t>(r) * jobs.size() + j) /
+                            static_cast<size_t>(kRounds);
         const campaign::JobResult res =
             campaign::run_job(jobs[pick], pick, config, pool, counters);
         restore_ms += res.restore_ms;
@@ -469,12 +477,11 @@ int run_check() {
     ok = check_restore_identity(workloads[i], snaps[i], other) && ok;
     ok = check_store_identity(workloads[i]) && ok;
   }
-  // Coverage campaign on step and superblock; both verdict vectors must
-  // agree with a first step run.
+  // Coverage campaign on every engine; each verdict vector must agree with
+  // a first step run.
   std::vector<campaign::JobResult> reference;
   run_campaign("coverage", cpu::Engine::kStep, reference);
-  for (const cpu::Engine engine :
-       {cpu::Engine::kStep, cpu::Engine::kSuperblock}) {
+  for (const cpu::Engine engine : kAllEngines) {
     std::vector<campaign::JobResult> results;
     run_campaign("coverage", engine, results);
     const std::vector<std::string> diffs =
@@ -598,8 +605,9 @@ int main(int argc, char** argv) {
   }
   json += "  ],\n  \"geomean_restore_speedup\": " + std::to_string(gm);
 
-  // Served job mixes: restore + run per job on a worker's machine pool,
-  // same snapshot back to back vs round-robin across programs.
+  // Served job mixes: restore + run per job on a worker's machine pool
+  // (one machine: the cells share the default engine), same snapshot back
+  // to back vs seeded shuffled orders across programs and policies.
   std::printf("\n%-9s %-10s %12s %12s\n", "cells", "order", "restore us",
               "run us");
   json += ",\n  \"served\": [\n";

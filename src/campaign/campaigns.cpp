@@ -78,33 +78,17 @@ const std::shared_ptr<const core::Scenario>& find_scenario(
   throw std::invalid_argument("unknown attack scenario: " + name);
 }
 
-/// Machine config for a fork of a shared snapshot under `policy`.  The
-/// snapshot holds the armed pre-run state (policy-independent — taint bits
-/// are data); the fork's own config carries the detection policy for this
-/// job.  With `elide`, restore() runs the static analyzer and installs the
-/// check-elision bitmap for the fork's policy.
-core::MachineConfig fork_config(const cpu::TaintPolicy& policy,
-                                uint64_t max_instructions, bool elide,
-                                std::optional<cpu::Engine> engine) {
-  core::MachineConfig cfg;
-  cfg.policy = policy;
-  cfg.max_instructions = max_instructions;
-  cfg.static_elision = elide;
-  cfg.engine = engine;
-  return cfg;
-}
-
-/// Machine-pool key: everything fork_config() puts in the MachineConfig,
-/// and nothing else.  Deliberately snapshot-independent — a kept machine
-/// restores *any* snapshot (a COW page share plus CPU state reset; a delta
-/// restore when the base happens to match), so the matrices' policy-major
-/// rows let one machine per worker serve a whole row of boots.
-std::string machine_key(const std::string& policy_name, uint64_t budget,
-                        bool elide, std::optional<cpu::Engine> engine) {
-  std::string key = policy_name + "|b" + std::to_string(budget);
-  if (elide) key += "|elide";
-  if (engine) key += std::string("|") + cpu::to_string(*engine);
-  return key;
+/// Fills the job's machine fields.  The snapshot holds the armed pre-run
+/// state (policy-independent — taint bits are data); run_job applies the
+/// job's policy and elision at restore, and the budget is enforced per
+/// job.  So the pool key names only the engine, the one thing a restore
+/// cannot change, and one kept machine per worker and engine serves every
+/// snapshot and policy column.
+void set_machine(Job& job, const cpu::TaintPolicy& policy, bool elide,
+                 std::optional<cpu::Engine> engine) {
+  job.machine_key = engine ? cpu::to_string(*engine) : "default";
+  job.engine = engine;
+  job.settings = {policy, elide};
 }
 
 Job spec_job(SnapshotCache& cache, int spec_scale,
@@ -116,11 +100,7 @@ Job spec_job(SnapshotCache& cache, int spec_scale,
   job.payload = w->name;
   job.policy = variant.name;
   job.max_instructions = kSpecBudget;
-  const cpu::TaintPolicy policy = variant.policy;
-  job.machine_key = machine_key(variant.name, kSpecBudget, elide, engine);
-  job.make_config = [policy, elide, engine]() {
-    return fork_config(policy, kSpecBudget, elide, engine);
-  };
+  set_machine(job, variant.policy, elide, engine);
   // The scale sizes the workload's input, so it is part of the boot.
   const std::string snap_key =
       "spec:" + w->name + "@" + std::to_string(spec_scale);
@@ -148,11 +128,7 @@ Job attack_job(SnapshotCache& cache,
   job.payload = s->name();
   job.policy = policy_name;
   job.max_instructions = s->max_instructions();
-  const uint64_t budget = s->max_instructions();
-  job.machine_key = machine_key(policy_name, budget, elide, engine);
-  job.make_config = [policy, budget, elide, engine]() {
-    return fork_config(policy, budget, elide, engine);
-  };
+  set_machine(job, policy, elide, engine);
   job.get_snapshot = [&cache, s]() {
     return cache.get("attack:" + s->name(), [&s]() {
       // Arm under the default policy: the pre-run state is identical for
@@ -194,10 +170,7 @@ Job fn_format_write_job(SnapshotCache& cache, bool elide,
   job.payload = "fn-format-write";
   job.policy = "paper";
   job.max_instructions = kContrastBudget;
-  job.machine_key = machine_key("paper", kContrastBudget, elide, engine);
-  job.make_config = [elide, engine]() {
-    return fork_config({}, kContrastBudget, elide, engine);
-  };
+  set_machine(job, {}, elide, engine);
   job.get_snapshot = [&cache]() {
     return cache.get("attack:fn-format-write",
                      []() { return prepare_fn_format_write()->snapshot(); });
@@ -499,11 +472,7 @@ Job make_session_job(const std::string& app_name,
   job.payload = app_name;
   job.policy = policy_name;
   job.max_instructions = kContrastBudget;
-  job.machine_key = machine_key(policy_name, kContrastBudget, elide, engine);
-  const cpu::TaintPolicy p = *policy;
-  job.make_config = [p, elide, engine]() {
-    return fork_config(p, kContrastBudget, elide, engine);
-  };
+  set_machine(job, *policy, elide, engine);
   // Session and stdin bytes are input the guest first sees when it runs,
   // so they are installed after restore rather than baked into the boot:
   // every session of one app forks that app's single boot snapshot.

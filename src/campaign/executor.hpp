@@ -12,13 +12,14 @@
 // job that throws is marked kHarnessError and retried once.  Results come
 // back in stable matrix order regardless of completion order.
 //
-// Jobs carrying the fork fields (machine_key / make_config / get_snapshot)
-// additionally let a worker keep a small pool of machines, one per
-// (snapshot × config) key: a repeat job restores its machine from the
-// shared snapshot — a COW delta restore, O(pages the last run dirtied) —
-// instead of constructing and deep-populating a fresh one.  The matrix is
-// dealt in contiguous chunks (not round-robin) so neighbouring jobs, which
-// share keys by construction, land on the same worker.
+// Jobs carrying the fork fields (machine_key / engine / get_snapshot /
+// settings) let a worker keep one machine per engine: every job restores
+// it from its shared snapshot under its own policy — a COW share, or a
+// delta restore, O(pages the last run dirtied), when the snapshot repeats
+// — instead of constructing and deep-populating a fresh one.  The matrix
+// is dealt in contiguous chunks (not round-robin) so neighbouring jobs,
+// which share snapshots and programs by construction, land on the same
+// worker.
 //
 // The per-worker execution core (MachinePool + run_job) lives in
 // campaign/worker.hpp, shared with the ptaint-serve daemon's shard

@@ -64,16 +64,21 @@ struct Job {
   std::string policy;
 
   /// How the armed machine comes to be.  `get_snapshot` resolves (building
-  /// on first use) the shared post-boot snapshot; `make_config` describes
-  /// the machine that runs it (policy, budget, elision, engine);
-  /// `machine_key` names that config — and deliberately not the snapshot,
-  /// since a kept machine can restore any snapshot — so a worker keeps one
-  /// machine per key and serves repeat jobs with a cheap COW (or delta)
-  /// restore instead of a rebuild.  Both callables run on a worker thread;
-  /// throwing marks the job kHarnessError (one retry).
+  /// on first use) the shared post-boot snapshot; `engine` is the one
+  /// thing about the machine that runs it a restore cannot change, and
+  /// `machine_key` names it — deliberately not the snapshot or the policy,
+  /// since a kept machine restores any snapshot under any `settings` — so
+  /// a worker keeps one machine per engine and serves every job with a
+  /// cheap COW (or delta) restore instead of a rebuild.  `get_snapshot`
+  /// runs on a worker thread; throwing marks the job kHarnessError (one
+  /// retry).
   std::string machine_key;
-  std::function<core::MachineConfig()> make_config;
+  std::optional<cpu::Engine> engine;  // unset = the process default
   std::function<std::shared_ptr<const core::MachineSnapshot>()> get_snapshot;
+
+  /// The job's policy and static elision, applied by run_job at restore
+  /// (core::Machine::restore).
+  core::RestoreSettings settings;
 
   /// Installed by run_job between restore and run (JobInput::install).
   /// Guest session jobs set it; matrix cells arm their payloads inside the

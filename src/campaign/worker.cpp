@@ -72,7 +72,9 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
       result.build_ms = ms_between(start, resolved_at);
       core::Machine* machine = machines.find(job.machine_key);
       if (machine == nullptr) {
-        auto fresh = std::make_unique<core::Machine>(job.make_config());
+        core::MachineConfig machine_config;
+        machine_config.engine = job.engine;
+        auto fresh = std::make_unique<core::Machine>(machine_config);
         machine = fresh.get();
         machines.put(job.machine_key, std::move(fresh));
         counters.machine_builds.fetch_add(1, std::memory_order_relaxed);
@@ -81,8 +83,9 @@ JobResult run_job(const Job& job, size_t index, const WorkerConfig& config,
       }
       // Repeat restores from one snapshot take the COW delta path inside
       // Machine::restore — O(pages the previous run dirtied) — and a
-      // restore to another recently run program reuses its code image.
-      machine->restore(*snapshot);
+      // restore to another recently run program reuses its code image,
+      // whatever the job's policy.
+      machine->restore(*snapshot, job.settings);
       if (job.input) job.input->install(*machine);
       const auto armed_at = Clock::now();
       result.restore_ms = ms_between(resolved_at, armed_at);

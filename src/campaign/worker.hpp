@@ -1,14 +1,13 @@
 // Per-worker job execution core, shared by the batch Executor and the
 // ptaint-serve daemon shards.
 //
-// A worker owns a MachinePool (kept machines, one per machine-config key;
-// any of them restores any snapshot) and calls run_job() for each job it
-// claims: build or restore the Machine, drive it in instruction slices
+// A worker owns a MachinePool (kept machines, one per engine; any of them
+// restores any snapshot under any policy) and calls run_job() for each job
+// it claims: build or restore the Machine, drive it in instruction slices
 // with wall-clock and budget checks between slices, classify, and return
-// the filled JobResult.  The
-// pool is strictly thread-local to its worker — machines are
-// single-threaded by contract — while ForkCounters aggregates build/reuse
-// tallies across workers.
+// the filled JobResult.  The pool is strictly thread-local to its worker —
+// machines are single-threaded by contract — while ForkCounters aggregates
+// build/reuse tallies across workers.
 //
 // Extracted from the executor (DESIGN.md §7) so a long-running daemon
 // shard gets the exact batch-campaign semantics: same slice loop, same
@@ -29,11 +28,12 @@
 namespace ptaint::campaign {
 
 /// Per-worker machine pool for the fork path: one machine per
-/// Job::machine_key — the machine config (policy, budget, elision,
-/// engine), deliberately not the snapshot — FIFO-evicted past a small cap.
-/// A kept machine restores whatever snapshot its next job names and keeps
-/// code images for the last few programs it ran (cpu::CodeImage), so a
-/// key serving several apps in turn does not rebuild their decodes.
+/// Job::machine_key — the engine, deliberately not the snapshot or the
+/// policy — FIFO-evicted past a small cap.  A kept machine restores
+/// whatever snapshot its next job names under that job's policy and
+/// elision (core::RestoreSettings) and keeps code images for the programs
+/// it ran recently (cpu::CodeImage), so one machine serving every policy
+/// column of several apps in turn does not rebuild their decodes.
 class MachinePool {
  public:
   core::Machine* find(const std::string& key);

@@ -89,8 +89,7 @@ void Machine::install_program(
   // A code image this core kept for the program re-decodes the pages just
   // written; the elision below is re-installed either way, since load
   // writes the program's own text.
-  cpu_->use_code(program_, layout::kTextBase,
-                 layout::kTextBase + 4 * static_cast<uint32_t>(p.text.size()));
+  use_program_code();
   cpu_->set_pc(p.entry);
   // The initial stack pointer is the root of stack address provenance:
   // every frame and local address derives from it.
@@ -103,7 +102,22 @@ void Machine::install_program(
 
 size_t Machine::enable_static_elision() {
   config_.static_elision = true;
+  // Proofs belong to the (program, policy) image; the proof-free one the
+  // program ran on so far stays proof-free.
+  if (!program_->text.empty()) use_program_code();
   return apply_static_elision();
+}
+
+cpu::CodeKey Machine::code_key() const {
+  cpu::CodeKey key{program_, std::nullopt};
+  if (config_.static_elision) key.elision = config_.policy;
+  return key;
+}
+
+bool Machine::use_program_code() {
+  return cpu_->use_code(
+      code_key(), layout::kTextBase,
+      layout::kTextBase + 4 * static_cast<uint32_t>(program_->text.size()));
 }
 
 size_t Machine::apply_static_elision() {
@@ -209,17 +223,29 @@ MachineSnapshot Machine::snapshot() {
 }
 
 void Machine::restore(const MachineSnapshot& snapshot) {
+  restore(snapshot, {config_.policy, config_.static_elision});
+}
+
+void Machine::restore(const MachineSnapshot& snapshot,
+                      const RestoreSettings& settings) {
+  // The core and its taint unit read config_.policy by reference, so the
+  // run's policy is replaced in place.
+  if (settings.policy != config_.policy) {
+    config_.policy = settings.policy;
+    cpu_->policy_changed();
+  }
+  config_.static_elision = settings.static_elision;
   // Restoring the snapshot this memory last copied from drops just the
   // pages the machine dirtied; any other snapshot shares every page.
   if (!memory_.delta_restore(snapshot.memory)) memory_ = snapshot.memory;
   program_ = snapshot.program;
   // One rule for the derived code state, delta or not: the core swaps in
-  // its code image for the program and re-decodes only text pages whose
-  // page object changed (self-modifying code, another boot of the same
-  // program).  A program it holds no image for gets a fresh one, and only
-  // then is the elision proof installed — the machine's policy is fixed
-  // by its config, so the program alone identifies the bitmap.
-  const bool fresh_image = cpu_->restore_state(snapshot.cpu, program_);
+  // its code image for the key and re-decodes only text pages whose page
+  // object changed (self-modifying code, another boot of the same
+  // program).  A key it holds no image for gets a fresh one, and only then
+  // is the elision proof installed: an elided image is keyed by the policy
+  // its proofs hold for, a proof-free one by the program alone.
+  const bool fresh_image = cpu_->restore_state(snapshot.cpu, code_key());
   *os_ = snapshot.os;
   if (config_.pipeline_model) {
     // Pipeline state transfers only between same-shaped configs; restoring
@@ -233,8 +259,8 @@ void Machine::restore(const MachineSnapshot& snapshot) {
   if (tracer_) tracer_->clear();
   if (profiler_) profiler_->reset();
   if (config_.static_elision && fresh_image) apply_static_elision();
-  // The waiver ranges are config-derived (not snapshot state, like the
-  // policy itself) and must track whatever program the restore installed.
+  // The waiver ranges are config-derived (not snapshot state) and must
+  // track whatever program the restore installed.
   apply_may_publish(/*strict=*/false);
 }
 

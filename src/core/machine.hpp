@@ -29,6 +29,8 @@
 namespace ptaint::core {
 
 struct MachineConfig {
+  /// Detection policy the machine starts with; restore(snapshot, settings)
+  /// replaces it, and static_elision, for the run that follows.
   cpu::TaintPolicy policy;           // paper defaults
   bool pipeline_model = false;       // enable the cycle/cache timing model
   cpu::PipelineConfig pipeline;
@@ -71,6 +73,16 @@ struct MachineConfig {
   uint32_t aslr_seed = 0;
 };
 
+/// What a kept machine may change from one restore to the next: the
+/// detection policy and whether the static elision proofs are installed.
+/// The engine and the rest of MachineConfig are fixed at construction;
+/// the campaign layer keeps one machine per engine and hands each job's
+/// settings to restore() (DESIGN.md §10).
+struct RestoreSettings {
+  cpu::TaintPolicy policy;
+  bool static_elision = false;
+};
+
 /// Everything a run produced.
 struct RunReport {
   cpu::StopReason stop = cpu::StopReason::kRunning;
@@ -111,11 +123,11 @@ struct RunReport {
 /// guest once to a post-init point, snapshots, and forks one restored
 /// Machine per payload instead of re-assembling per run.
 ///
-/// The detection policy is *not* part of the snapshot — it belongs to the
-/// restoring machine's config.  Taint bits in memory and registers are
-/// data, so a pre-run (or pre-divergence) snapshot can be forked across
-/// policy variants; each fork then propagates and detects under its own
-/// policy exactly as a from-scratch serial run would.
+/// The detection policy is *not* part of the snapshot — the restore names
+/// it (RestoreSettings).  Taint bits in memory and registers are data, so
+/// a pre-run (or pre-divergence) snapshot can be forked across policy
+/// variants, on one machine or many; each fork then propagates and detects
+/// under its own policy exactly as a from-scratch serial run would.
 ///
 /// The memory image is shared copy-on-write (DESIGN.md §10): taking a
 /// snapshot and restoring one cost O(mapped pages) pointer copies, a
@@ -182,23 +194,30 @@ class Machine {
   MachineSnapshot snapshot();
 
   /// Restores a snapshot into this machine, replacing program, memory, CPU,
-  /// OS and pipeline state; the machine's own config (policy, instruction
-  /// budget) is kept.  Tracer/profiler windows are cleared so a restored
-  /// run reports exactly like the original.  A machine restored from a
-  /// snapshot of machine M behaves byte-identically to M continuing from
-  /// the snapshot point.
+  /// OS and pipeline state, and runs from there under `settings`: the
+  /// policy and elision flag replace the config's (the one-argument form
+  /// keeps them).  Tracer/profiler windows are cleared so a restored run
+  /// reports exactly like the original.  A machine restored from a
+  /// snapshot of machine M under M's settings behaves byte-identically to
+  /// M continuing from the snapshot point; under other settings, like a
+  /// fresh machine with those settings restored from it.
   ///
   /// Memory: restoring from the snapshot this machine was last restored
   /// from is a delta restore — only the pages the machine dirtied are
   /// dropped back to the shared blocks, O(dirty set); any other snapshot
   /// shares every page.  Code state (decode cache, elision bitmaps,
   /// superblock translations) follows one rule either way: the core keeps
-  /// a code image per recently run program (cpu::CodeImage) and re-derives
-  /// only the text pages whose page object differs from the one it
-  /// recorded, so switching between a few snapshots — the pooled-machine
-  /// case in the campaign executor and the serving daemon — rebuilds
-  /// nothing but what self-modifying code changed.
+  /// a code image per recently run program — per (program, policy) with
+  /// elision on, since the proofs are the policy's (cpu::CodeKey) — and
+  /// re-derives only the text pages whose page object differs from the one
+  /// it recorded, so switching between snapshots and policies — the
+  /// pooled-machine case in the campaign executor and the serving daemon —
+  /// rebuilds nothing but what self-modifying code changed.  Under the
+  /// jit, a policy change drops the compiled host code
+  /// (Cpu::policy_changed).
   void restore(const MachineSnapshot& snapshot);
+  void restore(const MachineSnapshot& snapshot,
+               const RestoreSettings& settings);
 
   /// Runs until exit/alert/fault or the instruction budget is exhausted.
   RunReport run();
@@ -217,6 +236,12 @@ class Machine {
   size_t enable_static_elision();
 
  private:
+  /// The code image key for the loaded program under the current policy
+  /// and elision setting (cpu::CodeKey).
+  cpu::CodeKey code_key() const;
+  /// Activates the core's code image for the loaded program's text; true
+  /// for a fresh image (Cpu::use_code).
+  bool use_program_code();
   /// The load path shared by load_sources and load_program.
   void install_program(std::shared_ptr<const asmgen::Program> program);
   void setup_argv();

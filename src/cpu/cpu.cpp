@@ -36,9 +36,8 @@ CodeImage::~CodeImage() = default;
 CodeImage::CodeImage(CodeImage&&) noexcept = default;
 CodeImage& CodeImage::operator=(CodeImage&&) noexcept = default;
 
-void CodeImage::reset(std::shared_ptr<const void> key, uint32_t begin,
-                      uint32_t end) {
-  program = std::move(key);
+void CodeImage::reset(CodeKey new_key, uint32_t begin, uint32_t end) {
+  key = std::move(new_key);
   text_begin = begin;
   text_end = end;
   // Cap the cache so a pathological range (e.g. a raw core that never saw a
@@ -162,38 +161,47 @@ void Cpu::protect_region(uint32_t addr, uint32_t len, std::string name) {
   protected_regions_.push_back({addr, addr + len, std::move(name)});
 }
 
-bool Cpu::use_code(std::shared_ptr<const void> program, uint32_t begin,
-                   uint32_t end) {
+void Cpu::policy_changed() {
+  if (sb_ != nullptr && engine_ == Engine::kJit) sb_->reset();
+}
+
+bool Cpu::use_code(CodeKey key, uint32_t begin, uint32_t end) {
   static_assert(kCodeImages >= 2, "the active image plus at least one");
   text_begin_ = begin;
   text_end_ = end;
   const auto is_image_for = [&](const CodeImage& image) {
-    return program != nullptr && image.program == program &&
+    return key.program != nullptr && image.key == key &&
            image.text_begin == begin && image.text_end == end;
   };
   if (!is_image_for(code_)) {
     if (sb_) sb_->on_switch(code_);
-    CodeImage next;
-    const auto hit =
-        std::find_if(stashed_.begin(), stashed_.end(), is_image_for);
-    const bool found = hit != stashed_.end();
-    if (found) {
-      next = std::move(*hit);
-      stashed_.erase(hit);
-    } else if (code_.program != nullptr &&
-               stashed_.size() + 1 >= kCodeImages) {
-      // Evict the least recently used image; the fresh one reuses its
-      // storage, so a miss allocates nothing once the cache is full.
-      next = std::move(stashed_.back());
-      stashed_.pop_back();
+    // The outgoing image goes to the slot the incoming one leaves: the
+    // hit's, else — the cache full — the least recently active image's,
+    // whose storage the fresh image then reuses, so a miss allocates
+    // nothing.  Swaps: a switch moves three images whatever the capacity.
+    code_.last_active = ++switches_;
+    auto slot = std::find_if(stashed_.begin(), stashed_.end(), is_image_for);
+    const bool found = slot != stashed_.end();
+    if (!found && stashed_.size() + 1 >= kCodeImages) {
+      slot = std::min_element(stashed_.begin(), stashed_.end(),
+                              [](const CodeImage& a, const CodeImage& b) {
+                                return a.last_active < b.last_active;
+                              });
     }
-    if (code_.program != nullptr) {
-      stashed_.insert(stashed_.begin(), std::move(code_));
+    if (code_.key.program == nullptr) {
+      // A raw core's image is never kept.
+      if (found) {
+        code_ = std::move(*slot);
+        stashed_.erase(slot);
+      }
+    } else if (slot != stashed_.end()) {
+      std::swap(code_, *slot);
+    } else {
+      stashed_.push_back(std::move(code_));
     }
-    code_ = std::move(next);
     if (!found) {
       // Nothing decoded yet, so every text page is trivially in sync.
-      code_.reset(std::move(program), begin, end);
+      code_.reset(std::move(key), begin, end);
       const uint32_t first = begin >> mem::TaintedMemory::kPageShift;
       for (size_t i = 0; i < code_.text_pages.size(); ++i) {
         code_.text_pages[i] =
@@ -297,8 +305,7 @@ Cpu::State Cpu::save_state() const {
   return s;
 }
 
-bool Cpu::restore_state(const State& s,
-                        std::shared_ptr<const void> program) {
+bool Cpu::restore_state(const State& s, CodeKey key) {
   regs_ = s.regs;
   pc_ = s.pc;
   stop_ = s.stop;
@@ -308,7 +315,7 @@ bool Cpu::restore_state(const State& s,
   stats_ = s.stats;
   taint_unit_.set_stats(s.taint_stats);
   protected_regions_ = s.protected_regions;
-  return use_code(std::move(program), s.text_begin, s.text_end);
+  return use_code(std::move(key), s.text_begin, s.text_end);
 }
 
 void Cpu::set_leak_elision(const std::vector<uint8_t>& elision) {

@@ -165,11 +165,23 @@ struct CpuStats {
   uint64_t compare_untaints = 0; // branch/SLT operand untainting events
 };
 
+/// What a CodeImage is derived from: the program's text and, for an image
+/// that carries static elision proofs, the policy they were proven under.
+/// Decodes, leader bits and superblock micro-ops read no policy, so an
+/// image without proofs serves every policy; one with proofs serves only
+/// the policy it was proven for.
+struct CodeKey {
+  std::shared_ptr<const void> program;  // pinned, so never aliased
+  std::optional<TaintPolicy> elision;   // the proofs' policy; none = none
+
+  bool operator==(const CodeKey&) const = default;
+};
+
 /// Everything the engines derive from one program's text (DESIGN.md §9,
 /// §10): the decoded-instruction cache, the static elision and leader
 /// bitmaps, and the superblock translations.  A Cpu keeps the active image
-/// plus a few recently used ones, keyed by program, so a restore that
-/// switches snapshots swaps images instead of rebuilding them.
+/// plus recently used ones, keyed by CodeKey, so a restore that switches
+/// snapshots or policies swaps images instead of rebuilding them.
 ///
 /// Validity is tracked per text page by page-object identity: `text_pages`
 /// holds the memory page each page's decodes were read from.  Memory pages
@@ -183,12 +195,12 @@ struct CodeImage {
   CodeImage(CodeImage&&) noexcept;
   CodeImage& operator=(CodeImage&&) noexcept;
 
-  /// Re-keys this image to `program` over [begin, end) with every decode
+  /// Re-keys this image to `key` over [begin, end) with every decode
   /// invalid, no bitmaps and no blocks; keeps the vectors' storage.
-  void reset(std::shared_ptr<const void> program, uint32_t begin,
-             uint32_t end);
+  void reset(CodeKey key, uint32_t begin, uint32_t end);
 
-  std::shared_ptr<const void> program;  // the key; pinned, so never aliased
+  CodeKey key;
+  uint64_t last_active = 0;  // the Cpu's switch count when last swapped out
   uint32_t text_begin = 0;
   uint32_t text_end = 0;
   // Decoded-instruction cache over the executable range: fetching becomes
@@ -209,7 +221,8 @@ struct CodeImage {
 
 class Cpu {
  public:
-  /// The policy object must outlive the Cpu.
+  /// The policy object must outlive the Cpu.  Its owner may replace its
+  /// value between runs and then calls policy_changed().
   Cpu(mem::TaintedMemory& memory, const TaintPolicy& policy);
   ~Cpu();  // out-of-line: unique_ptr to the (here-incomplete) engine
 
@@ -263,23 +276,29 @@ class Cpu {
   /// per-application annotations (the paper's proposed trade).
   void protect_region(uint32_t addr, uint32_t len, std::string name);
 
-  /// Declares `program`'s text, [begin, end), as the executable range —
-  /// the NX range, and the range its CodeImage covers — and activates that
-  /// image: the active one or a stashed one when it matches, else a fresh
-  /// one (evicting the least recently used past kCodeImages).  A kept
-  /// image re-decodes exactly the text pages whose memory page object
-  /// differs from the one it recorded, so it is valid for whatever memory
-  /// the caller has just installed.  Returns true for a fresh image: the
-  /// caller then installs its elision and leader bitmaps.  A null
-  /// `program` (a raw core) always gets a fresh image.
-  bool use_code(std::shared_ptr<const void> program, uint32_t begin,
-                uint32_t end);
+  /// Declares the text of `key.program`, [begin, end), as the executable
+  /// range — the NX range, and the range its CodeImage covers — and
+  /// activates the image for `key`: the active one or a stashed one when it
+  /// matches, else a fresh one (evicting the least recently used past
+  /// kCodeImages).  A kept image re-decodes exactly the text pages whose
+  /// memory page object differs from the one it recorded, so it is valid
+  /// for whatever memory the caller has just installed.  Returns true for
+  /// a fresh image: the caller then installs its elision and leader
+  /// bitmaps (proven under `key.elision`).  A null program (a raw core)
+  /// always gets a fresh image.
+  bool use_code(CodeKey key, uint32_t begin, uint32_t end);
 
-  /// Code images a core keeps, the active one included.  Sized by
-  /// measurement (DESIGN.md §10): four covers the most apps a served
-  /// session machine cycles through; eight cost attack-warm, whose 15
-  /// programs per machine outrun any small LRU, +12% peak RSS.
-  static constexpr size_t kCodeImages = 4;
+  /// Code images a core keeps, the active one included.  Sized to the
+  /// largest program set one kept machine cycles (DESIGN.md §10): a served
+  /// attack-warm worker runs all 15 attack programs on one machine, under
+  /// every policy column, on one image per program.
+  static constexpr size_t kCodeImages = 16;
+
+  /// The policy this core references was replaced between runs.  Under
+  /// the jit, host code compiled under the old Table 1 rules is dropped
+  /// and the arena rewound; decodes, bitmaps and superblock micro-ops read
+  /// no policy and stay.
+  void policy_changed();
 
   /// Installs the static analyzer's check-elision bitmap (one byte per
   /// text instruction, 1 = the pointer-taintedness check at that PC is
@@ -382,9 +401,8 @@ class Cpu {
   };
   State save_state() const;
   /// Restores `state` over memory the caller has already restored, then
-  /// activates `program`'s code image via use_code (same return value).
-  bool restore_state(const State& state,
-                     std::shared_ptr<const void> program);
+  /// activates the code image for `key` via use_code (same return value).
+  bool restore_state(const State& state, CodeKey key);
 
  private:
   friend class SuperblockEngine;  // handlers mirror execute() bit-for-bit
@@ -422,7 +440,8 @@ class Cpu {
   uint32_t text_end_ = 0xffffffff;
 
   CodeImage code_;                 // the active image (use_code)
-  std::vector<CodeImage> stashed_;  // the others, most recent first
+  std::vector<CodeImage> stashed_;  // the others, in no particular order
+  uint64_t switches_ = 0;           // image switches so far (LRU clock)
   // Annotated may-publish PC ranges, end-exclusive (set_publish_ranges).
   std::vector<std::pair<uint32_t, uint32_t>> publish_ranges_;
 

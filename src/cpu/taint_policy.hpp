@@ -3,7 +3,9 @@
 // The default configuration is exactly the paper's architecture.  The other
 // knobs exist for the coverage-comparison baseline (control-data-only
 // protection, i.e. Minos / Secure Program Execution style) and for the
-// ablation benchmarks called out in DESIGN.md §5.
+// ablation benchmarks called out in DESIGN.md §5.  A policy is per-run
+// state: a kept Machine takes a new one at each restore
+// (core::RestoreSettings).
 #pragma once
 
 namespace ptaint::cpu {
@@ -46,6 +48,8 @@ struct TaintPolicy {
   // provenance raise an address-leak alert.  Off by default — address
   // planes still propagate, only the output-site check is gated here.
   bool leak_detection = false;
+
+  bool operator==(const TaintPolicy&) const = default;
 };
 
 }  // namespace ptaint::cpu

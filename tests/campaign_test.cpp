@@ -7,9 +7,14 @@
 // budgets and wall-clock timeouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/report.hpp"
 #include "campaign/snapshot_cache.hpp"
+#include "campaign/worker.hpp"
 #include "core/machine.hpp"
 #include "core/spec_workloads.hpp"
 
@@ -66,7 +72,6 @@ Job simple_job(const char* source, std::string payload) {
   job.payload = std::move(payload);
   job.policy = "paper";
   job.machine_key = "default";
-  job.make_config = [] { return core::MachineConfig{}; };
   job.get_snapshot = [source]() { return boot(source); };
   job.classify = [](core::Machine&, const core::RunReport& report,
                     JobResult& out) {
@@ -273,6 +278,112 @@ TEST(Campaign, ReportsAreDeterministicFunctionsOfResults) {
   EXPECT_EQ(to_json(a), to_json(b));
   EXPECT_EQ(to_csv(a), to_csv(b));
   EXPECT_EQ(console_summary(a), console_summary(b));
+}
+
+/// Everything a served row reports about the guest's run: verdict, stop
+/// reason, alert line, instruction count and every CpuStats and TaintUnit
+/// counter.
+std::string row_print(const JobResult& r) {
+  std::ostringstream ss;
+  ss << to_string(r.status) << " " << r.verdict << " [" << r.detail << "]"
+     << " stop=" << static_cast<int>(r.report.stop)
+     << " alert=" << r.report.alert_line();
+  const cpu::CpuStats& c = r.report.cpu_stats;
+  ss << " inst=" << c.instructions << " alu=" << c.alu_ops
+     << " ld=" << c.loads << " st=" << c.stores << " br=" << c.branches
+     << " taken=" << c.taken_branches << " j=" << c.jumps
+     << " sys=" << c.syscalls << " tld=" << c.tainted_loads
+     << " tst=" << c.tainted_stores << " cu=" << c.compare_untaints;
+  const cpu::TaintUnit::Stats& t = r.report.taint_stats;
+  ss << " ev=" << t.evaluations << " tev=" << t.tainted_evaluations
+     << " tcu=" << t.compare_untaints << " and0=" << t.and_zero_untaints
+     << " xor=" << t.xor_self_untaints;
+  return ss.str();
+}
+
+/// The coverage cells and the ablation attack cells in a seeded shuffled
+/// order in which no two consecutive cells run under the same policy.
+std::vector<CellRef> policy_switching_cells() {
+  std::vector<std::pair<CellRef, cpu::TaintPolicy>> pending;
+  for (const std::string campaign : {"coverage", "ablation"}) {
+    for (const CellRef& cell : campaign_cells(campaign)) {
+      if (cell.app != "attack") continue;
+      pending.emplace_back(cell, *policy_by_name(cell.policy));
+    }
+  }
+  std::mt19937 rng(20050628);
+  std::vector<CellRef> order;
+  std::optional<cpu::TaintPolicy> last;
+  while (!pending.empty()) {
+    // Draw among the cells whose policy differs from the last one's; the
+    // policy with the most cells left goes first once it holds half of
+    // them, so the order cannot end in a run of one policy.
+    std::vector<size_t> allowed;
+    size_t largest = 0;
+    size_t largest_n = 0;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      const cpu::TaintPolicy& p = pending[i].second;
+      if (p == last) continue;
+      allowed.push_back(i);
+      const auto n = static_cast<size_t>(std::count_if(
+          pending.begin(), pending.end(),
+          [&](const auto& other) { return other.second == p; }));
+      if (n > largest_n) {
+        largest = i;
+        largest_n = n;
+      }
+    }
+    if (allowed.empty()) break;
+    const size_t pick = 2 * largest_n >= pending.size()
+                            ? largest
+                            : allowed[rng() % allowed.size()];
+    order.push_back(pending[pick].first);
+    last = pending[pick].second;
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return order;
+}
+
+TEST(Campaign, OnePooledMachineServesEveryPolicyLikeAFreshMachine) {
+  // One kept machine per engine serves every policy column: the policy
+  // and elision are restore settings.  Every row must equal a fresh
+  // machine's run of the same cell — which pins an elision bitmap proven
+  // under another policy and jit host code compiled under another
+  // policy's Table 1 rules, the two things a policy change must not reuse.
+  const std::vector<CellRef> cells = policy_switching_cells();
+  size_t attack_cells = campaign_cells("coverage").size();
+  for (const CellRef& cell : campaign_cells("ablation")) {
+    attack_cells += cell.app == "attack";
+  }
+  ASSERT_EQ(cells.size(), attack_cells);
+  for (size_t i = 1; i < cells.size(); ++i) {
+    ASSERT_FALSE(*policy_by_name(cells[i].policy) ==
+                 *policy_by_name(cells[i - 1].policy))
+        << i;
+  }
+  SnapshotCache cache;
+  for (const cpu::Engine engine :
+       {cpu::Engine::kStep, cpu::Engine::kSuperblock, cpu::Engine::kJit}) {
+    for (const bool elide : {false, true}) {
+      const std::string what = std::string(cpu::to_string(engine)) +
+                               (elide ? ", elided" : "");
+      MachinePool pool;
+      ForkCounters counters;
+      for (size_t i = 0; i < cells.size(); ++i) {
+        const Job job = make_cell_job(cells[i], cache, 1, elide, engine);
+        const JobResult served = run_job(job, i, {}, pool, counters);
+        MachinePool fresh_pool;
+        ForkCounters fresh_counters;
+        const JobResult fresh =
+            run_job(job, i, {}, fresh_pool, fresh_counters);
+        EXPECT_EQ(row_print(fresh), row_print(served))
+            << what << ": " << cells[i].payload << " under "
+            << cells[i].policy << " (job " << i << ")";
+      }
+      EXPECT_EQ(pool.size(), 1u) << what;
+      EXPECT_EQ(counters.machine_builds.load(), 1u) << what;
+    }
+  }
 }
 
 }  // namespace

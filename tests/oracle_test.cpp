@@ -3,14 +3,15 @@
 // The superblock engine and the jit must match the step interpreter
 // bit-for-bit, and a restored machine must match a freshly booted one —
 // also when the machine last ran a *different* program, whose code image
-// it keeps (cpu::CodeImage).  The curated corpora pin both on a few dozen
-// hand-written guests; here a seeded generator (program_gen.hpp) supplies
-// loops, calls, spills, tainted input, compare-untaint bounds checks,
-// output, jumps through data and stores into text, and every run is
-// sliced at random budgets so slice boundaries fall inside blocks.  After
-// every slice the full observable state — registers with taint and
-// address planes, counters, output, alert, and FNV hashes over the data
-// and stack words with their planes — must agree.
+// it keeps (cpu::CodeImage), or ran under another policy.  The curated
+// corpora pin both on a few dozen hand-written guests; here a seeded
+// generator (program_gen.hpp) supplies loops, calls, spills, tainted
+// input, compare-untaint bounds checks, output, jumps through data and
+// stores into text, and every run is sliced at random budgets so slice
+// boundaries fall inside blocks.  After every slice the full observable
+// state — registers with taint and address planes, counters, output,
+// alert, and FNV hashes over the data and stack words with their planes —
+// must agree.
 //
 // The programs derive from gtest's random seed: a plain run (tier-1)
 // uses a fixed seed, and `--gtest_shuffle --gtest_repeat=N` draws a new
@@ -66,10 +67,12 @@ Case make_case(uint32_t seed) {
   return c;
 }
 
-MachineConfig config_for(const Case& c, cpu::Engine engine) {
+MachineConfig config_for(const Case& c, cpu::Engine engine,
+                         cpu::TaintPolicy policy = {}) {
   MachineConfig cfg;
   cfg.engine = engine;
   cfg.static_elision = c.elide;
+  cfg.policy = policy;
   cfg.policy.leak_detection = c.leak;
   cfg.max_instructions = 5'000'000;
   return cfg;
@@ -170,8 +173,9 @@ std::string divergence(const std::vector<std::string>& want,
 }
 
 std::vector<std::string> fresh_run(const Case& c, cpu::Engine engine,
-                                   uint32_t slice_seed) {
-  Machine m(config_for(c, engine));
+                                   uint32_t slice_seed,
+                                   cpu::TaintPolicy policy = {}) {
+  Machine m(config_for(c, engine, policy));
   boot(m, c);
   return drive(m, slice_seed);
 }
@@ -198,13 +202,29 @@ void check_engines_agree(const Case& c) {
 
 /// One pooled machine runs A, then B, then A again, then a second boot of
 /// A (same program object, other page objects), then a mid-run snapshot of
-/// A: every run must match a fresh machine.
+/// A, changing policy at every restore (paper, no compare-untaint,
+/// per-word taint, ...): every run must match a fresh machine booted under
+/// the same policy.  A policy change reuses the pooled machine's
+/// proof-free code images, but neither an elided image proven under
+/// another policy nor jit host code, which bakes in the Table 1 rules.
 void check_restore_after_other_program(const Case& a, const Case& b,
                                        cpu::Engine engine) {
   SCOPED_TRACE("seeds " + std::to_string(a.seed) + "/" +
                std::to_string(b.seed) + " on " + cpu::to_string(engine));
+  const cpu::TaintPolicy paper = config_for(a, engine).policy;
+  cpu::TaintPolicy no_compare_untaint = paper;
+  no_compare_untaint.compare_untaints = false;
+  cpu::TaintPolicy per_word = paper;
+  per_word.per_word_taint = true;
   const std::vector<std::string> want_a = fresh_run(a, engine, a.seed);
-  const std::vector<std::string> want_b = fresh_run(b, engine, b.seed);
+  const std::vector<std::string> want_b =
+      fresh_run(b, engine, b.seed, no_compare_untaint);
+  const std::vector<std::string> want_a_per_word =
+      fresh_run(a, engine, a.seed, per_word);
+  const std::vector<std::string> want_a_no_compare_untaint =
+      fresh_run(a, engine, a.seed, no_compare_untaint);
+  const std::vector<std::string> want_b_per_word =
+      fresh_run(b, engine, b.seed, per_word);
   const MachineSnapshot snap_a = boot_snapshot(a, engine);
   const MachineSnapshot snap_b = boot_snapshot(b, engine);
   const MachineSnapshot snap_a2 = boot_snapshot(a, engine);
@@ -220,21 +240,23 @@ void check_restore_after_other_program(const Case& a, const Case& b,
   Machine pooled(config_for(a, engine));
   struct Step {
     const MachineSnapshot* snap;
+    const cpu::TaintPolicy* policy;
     const std::vector<std::string>* want;
     uint32_t slice_seed;
     const char* what;
   };
   const Step steps[] = {
-      {&snap_a, &want_a, a.seed, "A"},
-      {&snap_b, &want_b, b.seed, "A->B"},
-      {&snap_a, &want_a, a.seed, "A->B->A"},
-      {&snap_a, &want_a, a.seed, "A again (delta)"},
-      {&snap_a2, &want_a, a.seed, "second boot of A"},
-      {&snap_mid, &want_mid, a.seed + 1, "mid-run A"},
-      {&snap_b, &want_b, b.seed, "back to B"},
+      {&snap_a, &paper, &want_a, a.seed, "A"},
+      {&snap_b, &no_compare_untaint, &want_b, b.seed, "A->B"},
+      {&snap_a, &per_word, &want_a_per_word, a.seed, "A->B->A"},
+      {&snap_a, &paper, &want_a, a.seed, "A again (delta)"},
+      {&snap_a2, &no_compare_untaint, &want_a_no_compare_untaint, a.seed,
+       "second boot of A"},
+      {&snap_mid, &paper, &want_mid, a.seed + 1, "mid-run A"},
+      {&snap_b, &per_word, &want_b_per_word, b.seed, "back to B"},
   };
   for (const Step& s : steps) {
-    pooled.restore(*s.snap);
+    pooled.restore(*s.snap, RestoreSettings{*s.policy, a.elide});
     EXPECT_EQ("", divergence(*s.want, drive(pooled, s.slice_seed)))
         << s.what;
   }
@@ -252,8 +274,8 @@ TEST(GeneratedOracle, RestoreAfterAnotherProgramMatchesFreshBoot) {
   SCOPED_TRACE("gtest random seed " + std::to_string(gtest_seed()));
   const uint32_t base = base_seed() + 1'000'000;
   for (uint32_t i = 0; i < kPairs; ++i) {
-    // One machine config per pair: the pooled machine's policy and
-    // elision are fixed, so B runs under A's.
+    // One elision setting and leak direction per pair, so B runs under
+    // A's; the policy changes at every restore.
     const Case a = make_case(base + 2 * i);
     Case b = make_case(base + 2 * i + 1);
     b.elide = a.elide;

@@ -332,7 +332,6 @@ campaign::Job flaky_timeout_job(
   job.timeout = std::chrono::milliseconds(200);
   job.max_instructions = 500'000'000;
   job.machine_key = "default";
-  job.make_config = [] { return core::MachineConfig{}; };
   job.get_snapshot = [attempts_seen]() {
     const int attempt = attempts_seen->fetch_add(1) + 1;
     core::Machine m;

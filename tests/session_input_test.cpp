@@ -140,6 +140,13 @@ std::string os_image(const os::SimOs::Persist& p) {
   return ::testing::AssertionSuccess();
 }
 
+/// The config of the kept machine that serves `job`.
+core::MachineConfig machine_config(const Job& job) {
+  core::MachineConfig cfg;
+  cfg.engine = job.engine;
+  return cfg;
+}
+
 void expect_same_report(const core::RunReport& a, const core::RunReport& b,
                         const std::string& what) {
   EXPECT_EQ(a.stop, b.stop) << what;
@@ -163,10 +170,11 @@ TEST(SessionInput, RestoreThenInstallEqualsFreshArmedBoot) {
                                        engine);
       ASSERT_TRUE(job.input.has_value()) << what;
 
-      core::Machine fresh(job.make_config());
-      fresh.restore(*armed_boot(c.app, c.session, c.stdin_text));
-      core::Machine forked(job.make_config());
-      forked.restore(*job.get_snapshot());
+      core::Machine fresh(machine_config(job));
+      fresh.restore(*armed_boot(c.app, c.session, c.stdin_text),
+                    job.settings);
+      core::Machine forked(machine_config(job));
+      forked.restore(*job.get_snapshot(), job.settings);
       job.input->install(forked);
 
       EXPECT_TRUE(same_state(fresh, forked)) << what;
@@ -191,13 +199,13 @@ TEST(SessionInput, InstallReplacesTheSnapshotsSessionAndStdin) {
   const Job job = make_session_job(c.app, c.session, c.stdin_text, c.policy,
                                    cache, /*elide=*/true, cpu::Engine::kStep);
 
-  core::Machine forked(job.make_config());
-  forked.restore(*stale);
+  core::Machine forked(machine_config(job));
+  forked.restore(*stale, job.settings);
   job.input->install(forked);
   EXPECT_EQ(forked.os().net().session_count(), 1u);
 
-  core::Machine fresh(job.make_config());
-  fresh.restore(*armed_boot(c.app, c.session, c.stdin_text));
+  core::Machine fresh(machine_config(job));
+  fresh.restore(*armed_boot(c.app, c.session, c.stdin_text), job.settings);
   EXPECT_TRUE(same_state(fresh, forked));
   expect_same_report(fresh.run(), forked.run(), c.app);
 }
